@@ -143,11 +143,8 @@ def tagging_examples(
     return examples
 
 
-def rebuild_from_levels(
-    units: Sequence[Unit | tuple],
-    joiner: str = "",
-) -> CatalogTree:
-    """Build a tree from (level, content) units with a heading stack.
+def rebuild_from_levels(units: Sequence[Unit]) -> CatalogTree:
+    """Build a tree from units with a heading stack.
 
     A heading at level k pops the stack until the top sits above k (the
     root counts as level 0), then attaches and becomes the top; text
@@ -157,10 +154,6 @@ def rebuild_from_levels(
     tree = CatalogTree.empty()
     stack: list[tuple[int, CatalogNode]] = [(0, tree.root)]
     for unit in units:
-        if not isinstance(unit, Unit):
-            level, content = unit[0], unit[1]
-            segs = tuple(unit[2]) if len(unit) > 2 else ()
-            unit = Unit(level=level, content=content, segments=segs)
         if unit.level == TEXT_LEVEL:
             stack[-1][1].children.append(
                 CatalogNode(
@@ -208,12 +201,11 @@ def pipeline_predict(
     level_model: LinearModel,
     max_depth: int = DEFAULT_MAX_DEPTH,
     joiner: str = "",
-    config: FeaturizerConfig | None = None,
 ) -> CatalogTree:
     """Merge-then-classify prediction."""
     if not segments:
         return CatalogTree.empty()
-    config = config or FeaturizerConfig(dim=getattr(concat_model, "dim", DEFAULT_FEATURIZER.dim))
+    config = FeaturizerConfig(dim=getattr(concat_model, "dim", DEFAULT_FEATURIZER.dim))
     merge_after = [False] * len(segments)
     for i in range(1, len(segments)):
         indices, values = featurize(
@@ -234,7 +226,7 @@ def pipeline_predict(
                 segments=seg_indices,
             )
         )
-    return rebuild_from_levels(units, joiner)
+    return rebuild_from_levels(units)
 
 
 def tagging_predict(
@@ -242,7 +234,6 @@ def tagging_predict(
     tag_model: LinearModel,
     max_depth: int = DEFAULT_MAX_DEPTH,
     joiner: str = "",
-    config: FeaturizerConfig | None = None,
 ) -> CatalogTree:
     """Greedy begin/inside tagging with legality repair.
 
@@ -251,7 +242,7 @@ def tagging_predict(
     """
     if not segments:
         return CatalogTree.empty()
-    config = config or FeaturizerConfig(dim=getattr(tag_model, "dim", DEFAULT_FEATURIZER.dim))
+    config = FeaturizerConfig(dim=getattr(tag_model, "dim", DEFAULT_FEATURIZER.dim))
     units: list[Unit] = []
     open_level: int | None = None
     for i, segment in enumerate(segments):
@@ -273,7 +264,7 @@ def tagging_predict(
                 Unit(level=level, content=segment.text, segments=(segment.index,))
             )
             open_level = level
-    return rebuild_from_levels(units, joiner)
+    return rebuild_from_levels(units)
 
 
 def oracle_units(gold: CatalogTree, max_depth: int) -> list[Unit]:

@@ -3,8 +3,8 @@
 Subcommands: generate, chunk, train, predict, evaluate, oracle-check,
 stats. All of them read and write the JSON-lines formats described in
 ``jsonio`` and drop a run manifest next to their outputs. Exit codes:
-0 success, 1 I/O or check failure, 2 schema violation, 3 training
-failure.
+0 success, 1 I/O, scorer bridge or check failure, 2 schema violation,
+3 training failure.
 """
 from __future__ import annotations
 
@@ -13,9 +13,10 @@ import logging
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 
-from . import baselines, corpus, engine, jsonio, metrics, scoring
-from .bridge import BridgeScorer, ScorerBridge
+from . import baselines, corpus, engine, jsonio, methods, metrics, scoring
+from .bridge import BridgeIO, BridgeProtocol, BridgeScorer, ScorerBridge
 from .manifest import manifest_path_for, write_manifest
 from .scoring import EmptyTrainingSet
 from .tree import Segment
@@ -27,11 +28,6 @@ JOINERS = {"none": "", "space": " "}
 
 class TrainingFailure(Exception):
     pass
-
-
-def _add_seed_jobs(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
 def _add_joiner(parser: argparse.ArgumentParser) -> None:
@@ -58,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--numbered-frac", type=float, default=0.85)
     p.add_argument("--text-len", type=int, nargs=2, default=[60, 200], metavar=("LO", "HI"))
     p.add_argument("--source", default="synthetic")
-    _add_seed_jobs(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("chunk", help="simulate OCR over-segmentation")
@@ -68,8 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chunk-p", type=float, default=0.5)
     p.add_argument("--heading-range", type=int, nargs=2, default=[7, 20], metavar=("LO", "HI"))
     p.add_argument("--text-range", type=int, nargs=2, default=[70, 100], metavar=("LO", "HI"))
+    p.add_argument("--seed", type=int, default=0)
     _add_joiner(p)
-    _add_seed_jobs(p)
     p.set_defaults(func=cmd_chunk)
 
     p = sub.add_parser("train", help="train a scorer from gold trees")
@@ -78,11 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev", required=True, help="gold corpus used for epoch selection")
     p.add_argument("--dev-segments", help="segment stream for the dev corpus")
     p.add_argument("--model-out", required=True)
-    p.add_argument(
-        "--method",
-        choices=["transition", "pipeline", "tagging"],
-        default="transition",
-    )
+    p.add_argument("--method", choices=methods.METHODS, default="transition")
     p.add_argument("--lr", type=float, default=2e-3)
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=20)
@@ -91,8 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-depth", type=int, default=baselines.DEFAULT_MAX_DEPTH)
     p.add_argument("--class-weights", action="store_true")
     p.add_argument("--dump-actions", help="write gold action records here")
+    p.add_argument("--seed", type=int, default=0)
     _add_joiner(p)
-    _add_seed_jobs(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="parse segment streams into trees")
@@ -103,35 +95,29 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="linear:MODEL_PATH or bridge:COMMAND",
     )
-    p.add_argument(
-        "--method",
-        choices=["transition", "pipeline", "tagging"],
-        default="transition",
-    )
+    p.add_argument("--method", choices=methods.METHODS, default="transition")
     p.add_argument("--unconstrained", action="store_true")
     p.add_argument("--max-depth", type=int, default=baselines.DEFAULT_MAX_DEPTH)
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_joiner(p)
-    _add_seed_jobs(p)
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("evaluate", help="score predictions against gold trees")
     p.add_argument("--gold", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", help="write the JSON report here")
-    _add_seed_jobs(p)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("oracle-check", help="verify gold action round-trips")
     p.add_argument("--corpus", required=True)
     p.add_argument("--segments", help="segment stream (needed for chunked corpora)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_joiner(p)
-    _add_seed_jobs(p)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("stats", help="corpus statistics per source")
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", help="write JSON rows here")
-    _add_seed_jobs(p)
     p.set_defaults(func=cmd_stats)
 
     return parser
@@ -227,13 +213,6 @@ def _subsample(items: list, count: int | None, seed: int) -> list:
     return [items[i] for i in order[:count]]
 
 
-def _dev_f1(pred_trees, gold_docs) -> float:
-    reports = [
-        metrics.evaluate(doc.tree, tree) for doc, tree in zip(gold_docs, pred_trees)
-    ]
-    return metrics.aggregate(reports).overall.f1
-
-
 def cmd_train(args) -> int:
     started = time.time()
     joiner = JOINERS[args.joiner]
@@ -251,18 +230,59 @@ def cmd_train(args) -> int:
         seed=args.seed,
         class_weighting=args.class_weights,
     )
+    dev = [(doc.tree, segments) for doc, segments in dev_pairs]
+
+    def select(examples, classes, heads_for):
+        return methods.train_with_dev_selection(
+            examples,
+            config,
+            classes,
+            dev,
+            lambda model: methods.parser_for(
+                args.method, heads_for(model), True, joiner, args.max_depth
+            ),
+        )
 
     try:
         if args.method == "transition":
-            history = _train_transition(args, config, train_pairs, dev_pairs, joiner)
+            examples = _transition_examples(args, train_pairs, joiner)
+            model, history = select(examples, 4, lambda m: (scoring.LinearScorer(m),))
+            heads = (model,)
         elif args.method == "pipeline":
-            history = _train_pipeline(args, config, train_pairs, dev_pairs, joiner)
+            pair_examples, level_examples = [], []
+            for doc, segments in train_pairs:
+                pairs, levels = baselines.pipeline_examples(doc.tree, segments, args.max_depth)
+                pair_examples.extend(pairs)
+                level_examples.extend(levels)
+            if not level_examples:
+                raise EmptyTrainingSet("no unit examples in the training corpus")
+            concat_model = scoring.train(pair_examples, config, classes=2)
+            log.info("pipeline: merge head trained on %d pairs", len(pair_examples))
+            level_model, history = select(
+                level_examples,
+                baselines.level_label_count(args.max_depth),
+                lambda m: (concat_model, m),
+            )
+            heads = (concat_model, level_model)
         else:
-            history = _train_tagging(args, config, train_pairs, dev_pairs, joiner)
+            examples = []
+            for doc, segments in train_pairs:
+                examples.extend(baselines.tagging_examples(doc.tree, segments, args.max_depth))
+            log.info("tagging: %d tagged segments", len(examples))
+            model, history = select(
+                examples, baselines.tag_count(args.max_depth), lambda m: (m,)
+            )
+            heads = (model,)
     except EmptyTrainingSet:
         raise
     except (ValueError, ArithmeticError) as exc:
         raise TrainingFailure(str(exc)) from exc
+
+    with open(args.model_out, "wb") as handle:
+        for model, magic in zip(heads, methods.HEAD_MAGICS[args.method]):
+            scoring.write_container(handle, model, magic)
+    best_epoch = history.index(max(history)) + 1
+    log.info("kept epoch %d (dev F1 %.4f) -> %s", best_epoch, max(history), args.model_out)
 
     outputs = [args.model_out]
     if args.dump_actions:
@@ -274,12 +294,12 @@ def cmd_train(args) -> int:
         inputs=[p for p in (args.train, args.train_segments, args.dev, args.dev_segments) if p],
         outputs=outputs,
         started=started,
-        extra=history,
+        extra={"dev_f1_per_epoch": history, "best_epoch": best_epoch},
     )
     return 0
 
 
-def _train_transition(args, config, train_pairs, dev_pairs, joiner) -> dict:
+def _transition_examples(args, train_pairs, joiner) -> list:
     examples = []
     dump_rows = []
     for doc, segments in train_pairs:
@@ -301,112 +321,20 @@ def _train_transition(args, config, train_pairs, dev_pairs, joiner) -> dict:
         jsonio.write_action_dump(args.dump_actions, dump_rows)
     log.info("training on %d action examples from %d documents",
              len(examples), len(train_pairs))
-
-    best = {"f1": -1.0, "epoch": -1, "model": None}
-    history = []
-
-    def on_epoch(epoch: int, model: scoring.LinearModel) -> None:
-        scorer = scoring.LinearScorer(model)
-        trees = [
-            engine.decode(segments, scorer, constrained=True, joiner=joiner)[0]
-            for _, segments in dev_pairs
-        ]
-        f1 = _dev_f1(trees, [doc for doc, _ in dev_pairs])
-        history.append(f1)
-        log.info("epoch %d: dev F1 %.4f", epoch + 1, f1)
-        if f1 > best["f1"]:
-            best.update(f1=f1, epoch=epoch, model=model.copy())
-
-    final = scoring.train(examples, config, classes=4, epoch_callback=on_epoch)
-    model = best["model"] if best["model"] is not None else final
-    scoring.save_model(model, args.model_out, scoring.MODEL_MAGIC)
-    log.info("kept epoch %d (dev F1 %.4f) -> %s", best["epoch"] + 1, best["f1"], args.model_out)
-    return {"dev_f1_per_epoch": history, "best_epoch": best["epoch"] + 1}
-
-
-def _train_pipeline(args, config, train_pairs, dev_pairs, joiner) -> dict:
-    pair_examples = []
-    level_examples = []
-    for doc, segments in train_pairs:
-        pairs, levels = baselines.pipeline_examples(doc.tree, segments, args.max_depth)
-        pair_examples.extend(pairs)
-        level_examples.extend(levels)
-    if not level_examples:
-        raise EmptyTrainingSet("no unit examples in the training corpus")
-    # Documents of a single segment produce no adjacent pairs; train the
-    # merge head only when there is something to learn from.
-    concat_model = scoring.train(pair_examples, config, classes=2)
-    log.info("pipeline: merge head trained on %d pairs", len(pair_examples))
-
-    best = {"f1": -1.0, "epoch": -1, "model": None}
-    history = []
-
-    def on_epoch(epoch: int, model: scoring.LinearModel) -> None:
-        trees = [
-            baselines.pipeline_predict(
-                segments, concat_model, model, args.max_depth, joiner
-            )
-            for _, segments in dev_pairs
-        ]
-        f1 = _dev_f1(trees, [doc for doc, _ in dev_pairs])
-        history.append(f1)
-        log.info("epoch %d: dev F1 %.4f", epoch + 1, f1)
-        if f1 > best["f1"]:
-            best.update(f1=f1, epoch=epoch, model=model.copy())
-
-    final = scoring.train(
-        level_examples,
-        config,
-        classes=baselines.level_label_count(args.max_depth),
-        epoch_callback=on_epoch,
-    )
-    level_model = best["model"] if best["model"] is not None else final
-    with open(args.model_out, "wb") as handle:
-        scoring.write_container(handle, concat_model, baselines.CONCAT_HEAD_MAGIC)
-        scoring.write_container(handle, level_model, baselines.LEVEL_HEAD_MAGIC)
-    log.info("kept epoch %d (dev F1 %.4f) -> %s", best["epoch"] + 1, best["f1"], args.model_out)
-    return {"dev_f1_per_epoch": history, "best_epoch": best["epoch"] + 1}
-
-
-def _train_tagging(args, config, train_pairs, dev_pairs, joiner) -> dict:
-    examples = []
-    for doc, segments in train_pairs:
-        examples.extend(baselines.tagging_examples(doc.tree, segments, args.max_depth))
-    log.info("tagging: %d tagged segments", len(examples))
-
-    best = {"f1": -1.0, "epoch": -1, "model": None}
-    history = []
-
-    def on_epoch(epoch: int, model: scoring.LinearModel) -> None:
-        trees = [
-            baselines.tagging_predict(segments, model, args.max_depth, joiner)
-            for _, segments in dev_pairs
-        ]
-        f1 = _dev_f1(trees, [doc for doc, _ in dev_pairs])
-        history.append(f1)
-        log.info("epoch %d: dev F1 %.4f", epoch + 1, f1)
-        if f1 > best["f1"]:
-            best.update(f1=f1, epoch=epoch, model=model.copy())
-
-    final = scoring.train(
-        examples,
-        config,
-        classes=baselines.tag_count(args.max_depth),
-        epoch_callback=on_epoch,
-    )
-    model = best["model"] if best["model"] is not None else final
-    scoring.save_model(model, args.model_out, baselines.TAGGER_MAGIC)
-    log.info("kept epoch %d (dev F1 %.4f) -> %s", best["epoch"] + 1, best["f1"], args.model_out)
-    return {"dev_f1_per_epoch": history, "best_epoch": best["epoch"] + 1}
+    return examples
 
 
 # Worker state for --jobs parallelism. Each worker process builds its own
-# scorer once; document order is preserved by the executor.
+# parser once; document order is preserved by the executor. A worker's
+# bridge child is never closed explicitly: it gets end-of-input when the
+# worker exits.
 _worker: dict = {}
 
 
 def _init_worker(scorer_spec: str, method: str, constrained: bool, joiner: str, max_depth: int) -> None:
-    _worker["predict"] = _build_predictor(scorer_spec, method, constrained, joiner, max_depth)
+    _worker["parse"] = _build_predictor(
+        scorer_spec, method, constrained, joiner, max_depth, ExitStack()
+    )
 
 
 def _parse_scorer_spec(spec: str) -> tuple[str, str]:
@@ -418,41 +346,27 @@ def _parse_scorer_spec(spec: str) -> tuple[str, str]:
     return kind, rest
 
 
-def _build_predictor(scorer_spec, method, constrained, joiner, max_depth):
+def _build_predictor(scorer_spec, method, constrained, joiner, max_depth, resources: ExitStack):
+    """Load the heads ``scorer_spec`` names and return their parser; a bridge
+    child is registered with ``resources``, which closes it."""
     kind, rest = _parse_scorer_spec(scorer_spec)
-    if method == "transition":
-        if kind == "linear":
-            scorer = scoring.LinearScorer(scoring.load_model(rest, scoring.MODEL_MAGIC))
-        else:
-            scorer = BridgeScorer(ScorerBridge(rest))
-
-        def predict(segments: list[Segment]):
-            return engine.decode(segments, scorer, constrained=constrained, joiner=joiner)[0]
-
-        return predict
-    if kind != "linear":
-        raise ValueError(f"method {method} requires a linear: scorer")
-    if method == "pipeline":
+    if kind == "bridge":
+        if method != "transition":
+            raise ValueError(f"method {method} requires a linear: scorer")
+        heads = (BridgeScorer(resources.enter_context(ScorerBridge(rest))),)
+    else:
         with open(rest, "rb") as handle:
-            concat_model = scoring.read_container(handle, baselines.CONCAT_HEAD_MAGIC, rest)
-            level_model = scoring.read_container(handle, baselines.LEVEL_HEAD_MAGIC, rest)
-
-        def predict(segments: list[Segment]):
-            return baselines.pipeline_predict(
-                segments, concat_model, level_model, max_depth, joiner
+            heads = tuple(
+                scoring.read_container(handle, magic, rest)
+                for magic in methods.HEAD_MAGICS[method]
             )
-
-        return predict
-    tag_model = scoring.load_model(rest, baselines.TAGGER_MAGIC)
-
-    def predict(segments: list[Segment]):
-        return baselines.tagging_predict(segments, tag_model, max_depth, joiner)
-
-    return predict
+        if method == "transition":
+            heads = (scoring.LinearScorer(heads[0]),)
+    return methods.parser_for(method, heads, constrained, joiner, max_depth)
 
 
-def _predict_one(segments: list[Segment]):
-    return _worker["predict"](segments)
+def _parse_one(segments: list[Segment]):
+    return _worker["parse"](segments)
 
 
 def cmd_predict(args) -> int:
@@ -466,12 +380,13 @@ def cmd_predict(args) -> int:
             initializer=_init_worker,
             initargs=(args.scorer, args.method, constrained, joiner, args.max_depth),
         ) as pool:
-            trees = list(pool.map(_predict_one, [s.segments for s in streams]))
+            trees = list(pool.map(_parse_one, [s.segments for s in streams]))
     else:
-        predictor = _build_predictor(
-            args.scorer, args.method, constrained, joiner, args.max_depth
-        )
-        trees = [predictor(s.segments) for s in streams]
+        with ExitStack() as resources:
+            parse = _build_predictor(
+                args.scorer, args.method, constrained, joiner, args.max_depth, resources
+            )
+            trees = [parse(s.segments) for s in streams]
     docs = [
         jsonio.Document(doc_id=stream.doc_id, source="", tree=tree)
         for stream, tree in zip(streams, trees)
@@ -583,6 +498,9 @@ def main(argv: list[str] | None = None) -> int:
     except (EmptyTrainingSet, TrainingFailure) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
+    except (BridgeIO, BridgeProtocol) as exc:
+        print(f"scorer bridge failed: {exc}", file=sys.stderr)
+        return 1
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename or exc}", file=sys.stderr)
         return 1

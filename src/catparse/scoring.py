@@ -351,38 +351,47 @@ _BETA2 = 0.999
 _EPS = 1e-8
 
 
-def example_loss_and_grad(
-    model: LinearModel, indices: np.ndarray, values: np.ndarray, label: int
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy loss with gradients for one example.
-
-    Returns (loss, grad over the touched weight columns with shape
-    (classes, len(indices)), bias gradient).
-    """
-    logits = model.logits_for(indices, values)
-    log_probs = logits - np.max(logits)
-    log_probs -= np.log(np.exp(log_probs).sum())
-    probs = np.exp(log_probs)
-    loss = -log_probs[label]
-    err = probs.copy()
-    err[label] -= 1.0
-    return float(loss), np.outer(err, values), err
+def inverse_frequency_weights(labels: np.ndarray, classes: int) -> np.ndarray:
+    """Per-class loss weights that give every present class the same total."""
+    weights = np.ones(classes, dtype=np.float64)
+    counts = np.bincount(labels, minlength=classes).astype(np.float64)
+    present = counts > 0
+    weights[present] = len(labels) / (present.sum() * counts[present])
+    return weights
 
 
-def mean_cross_entropy(
+def loss_and_grad(
     model: LinearModel,
-    examples: Sequence[tuple[ScoringInput, int]],
-    config: FeaturizerConfig = DEFAULT_FEATURIZER,
-) -> float:
-    if not examples:
-        raise EmptyTrainingSet("no examples to evaluate")
-    total = 0.0
-    for inp, label in examples:
-        indices, values = featurize(inp, model.hash_seed, config)
+    feats: Sequence[tuple[np.ndarray, np.ndarray]],
+    labels: Sequence[int],
+    class_weights: np.ndarray,
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean class-weighted cross-entropy of a batch, with its gradient.
+
+    ``feats`` holds one ``featurize`` (indices, values) pair per example.
+    Returns (loss, the sorted touched columns, the weight gradient over
+    those columns with shape (classes, len(columns)), the bias gradient).
+    """
+    errors = np.empty((len(feats), model.classes), dtype=np.float64)
+    loss = 0.0
+    for row, ((indices, values), label) in enumerate(zip(feats, labels)):
         logits = model.logits_for(indices, values)
         shifted = logits - np.max(logits)
-        total += float(np.log(np.exp(shifted).sum()) - shifted[int(label)])
-    return total / len(examples)
+        probs = np.exp(shifted)
+        total = probs.sum()
+        probs /= total
+        loss += class_weights[label] * (np.log(total) - shifted[label])
+        probs[label] -= 1.0
+        errors[row] = probs * class_weights[label]
+    all_cols = np.concatenate([indices for indices, _ in feats])
+    all_vals = np.concatenate([values for _, values in feats])
+    rows = np.repeat(np.arange(len(feats)), [len(indices) for indices, _ in feats])
+    cols, inverse = np.unique(all_cols, return_inverse=True)
+    contrib = errors[rows] * all_vals[:, None]
+    grad_t = np.zeros((len(cols), model.classes), dtype=np.float64)
+    np.add.at(grad_t, inverse, contrib)
+    scale = 1.0 / len(feats)
+    return float(loss * scale), cols, grad_t.T * scale, errors.sum(axis=0) * scale
 
 
 def train(
@@ -390,7 +399,6 @@ def train(
     config: TrainConfig,
     classes: int = 4,
     dim: int = DEFAULT_DIM,
-    featurizer: FeaturizerConfig | None = None,
     epoch_callback: Callable[[int, LinearModel], None] | None = None,
 ) -> LinearModel:
     """Fit a linear model by mini-batch cross-entropy descent.
@@ -401,21 +409,15 @@ def train(
     """
     if not examples:
         raise EmptyTrainingSet("cannot train on an empty example list")
-    featurizer = featurizer or FeaturizerConfig(dim=dim)
-    if featurizer.dim != dim:
-        raise ValueError("featurizer dimension must match the model dimension")
-
+    featurizer = FeaturizerConfig(dim=dim)
     model = LinearModel.create(dim=dim, classes=classes, hash_seed=config.seed)
     feats = [featurize(inp, model.hash_seed, featurizer) for inp, _ in examples]
     labels = np.array([int(label) for _, label in examples], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError("label out of range for the class count")
-
-    weights_per_class = np.ones(classes, dtype=np.float64)
+    class_weights = np.ones(classes, dtype=np.float64)
     if config.class_weighting:
-        counts = np.bincount(labels, minlength=classes).astype(np.float64)
-        present = counts > 0
-        weights_per_class[present] = len(labels) / (present.sum() * counts[present])
+        class_weights = inverse_frequency_weights(labels, classes)
 
     moment1 = np.zeros_like(model.weights)
     moment2 = np.zeros_like(model.weights)
@@ -432,28 +434,9 @@ def train(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             step += 1
-            errors = np.empty((len(batch), classes), dtype=np.float64)
-            for row, j in enumerate(batch):
-                indices, values = feats[j]
-                label = labels[j]
-                logits = model.logits_for(indices, values)
-                shifted = logits - np.max(logits)
-                probs = np.exp(shifted)
-                probs /= probs.sum()
-                probs[label] -= 1.0
-                errors[row] = probs * weights_per_class[label]
-            all_cols = np.concatenate([feats[j][0] for j in batch])
-            all_vals = np.concatenate([feats[j][1] for j in batch])
-            rows = np.repeat(
-                np.arange(len(batch)), [len(feats[j][0]) for j in batch]
+            _, cols, grad, bias_grad = loss_and_grad(
+                model, [feats[j] for j in batch], labels[batch], class_weights
             )
-            cols, inverse = np.unique(all_cols, return_inverse=True)
-            contrib = errors[rows] * all_vals[:, None]
-            grad_t = np.zeros((len(cols), classes), dtype=np.float64)
-            np.add.at(grad_t, inverse, contrib)
-            scale = 1.0 / len(batch)
-            grad = grad_t.T * scale
-            bias_grad = errors.sum(axis=0) * scale
 
             # Catch up lazily skipped steps: decay moments and apply the
             # decoupled weight decay those columns would have received.
@@ -560,11 +543,11 @@ class ActionScorer(ABC):
 
 
 class LinearScorer(ActionScorer):
-    def __init__(self, model: LinearModel, config: FeaturizerConfig | None = None):
+    def __init__(self, model: LinearModel):
         if model.classes != 4:
             raise ValueError("action scoring needs a 4-class model")
         self.model = model
-        self.config = config or FeaturizerConfig(dim=model.dim)
+        self.config = FeaturizerConfig(dim=model.dim)
 
     def score_input(self, inp: ScoringInput) -> ActionScores:
         return score(inp, self.model, self.config)

@@ -10,15 +10,15 @@ from pathlib import Path
 
 import numpy as np
 
-from catparse import baselines, corpus, engine, metrics, scoring
+from catparse import baselines, corpus, engine, methods, metrics, scoring
 from catparse.cli import main
 from catparse.scoring import (
     FeaturizerConfig,
     LinearModel,
     LinearScorer,
     ScoringInput,
-    example_loss_and_grad,
     featurize,
+    loss_and_grad,
 )
 from catparse.tree import Action, NodeKind, Segment, flatten, iter_nodes, validate_tree
 
@@ -150,7 +150,8 @@ def test_criterion_5_gradient_check():
         )
         label = case % 4
         indices, values = featurize(example, model.hash_seed, cfg)
-        _, grad_w, grad_b = example_loss_and_grad(model, indices, values, label)
+        _, cols, grad_w, grad_b = loss_and_grad(model, [(indices, values)], [label], np.ones(4))
+        assert np.array_equal(cols, indices)
 
         def loss_at():
             logits = model.logits_for(indices, values)
@@ -197,30 +198,25 @@ def test_criterion_6_end_to_end_learning():
     train_p, dev_p, test_p = corpus.split_corpus(pairs, seed=7)
     assert (len(train_p), len(dev_p), len(test_p)) == (160, 20, 20)
 
-    def dev_f1(predict) -> float:
-        reports = [metrics.evaluate(g.tree, predict(s.segments)) for g, s in dev_p]
-        return metrics.aggregate(reports).overall.f1
+    dev = [(g.tree, s.segments) for g, s in dev_p]
 
-    def test_f1(predict) -> float:
-        reports = [metrics.evaluate(g.tree, predict(s.segments)) for g, s in test_p]
+    def test_f1(parse) -> float:
+        reports = [metrics.evaluate(g.tree, parse(s.segments)) for g, s in test_p]
         return metrics.aggregate(reports).overall.f1
 
     config = scoring.TrainConfig(epochs=10, seed=7)
+
+    def parser(method, heads, constrained=True):
+        return methods.parser_for(method, heads, constrained, "", 8)
 
     # transition scorer with dev-epoch selection
     examples = []
     for g, s in train_p:
         examples.extend(engine.oracle_examples(g.tree, s.segments))
-    best = {"f1": -1.0, "model": None}
-
-    def keep_best(epoch, model):
-        scorer = LinearScorer(model)
-        f1 = dev_f1(lambda segs: engine.decode(segs, scorer)[0])
-        if f1 > best["f1"]:
-            best.update(f1=f1, model=model.copy())
-
-    scoring.train(examples, config, epoch_callback=keep_best)
-    model = best["model"]
+    model, _ = methods.train_with_dev_selection(
+        examples, config, 4, dev,
+        lambda m: parser("transition", (LinearScorer(m),)),
+    )
 
     # held-out action accuracy of the selected model
     correct = total = 0
@@ -232,10 +228,8 @@ def test_criterion_6_end_to_end_learning():
     assert accuracy >= 0.95
 
     scorer = LinearScorer(model)
-    f1_constrained = test_f1(lambda segs: engine.decode(segs, scorer, constrained=True)[0])
-    f1_unconstrained = test_f1(
-        lambda segs: engine.decode(segs, scorer, constrained=False)[0]
-    )
+    f1_constrained = test_f1(parser("transition", (scorer,)))
+    f1_unconstrained = test_f1(parser("transition", (scorer,), constrained=False))
 
     # pipeline baseline (merge head trained in full, level head dev-selected)
     pair_ex, level_ex = [], []
@@ -244,33 +238,21 @@ def test_criterion_6_end_to_end_learning():
         pair_ex.extend(p)
         level_ex.extend(l)
     concat_model = scoring.train(pair_ex, config, classes=2)
-    best_pipe = {"f1": -1.0, "model": None}
-
-    def keep_pipe(epoch, model):
-        f1 = dev_f1(
-            lambda segs: baselines.pipeline_predict(segs, concat_model, model, 8)
-        )
-        if f1 > best_pipe["f1"]:
-            best_pipe.update(f1=f1, model=model.copy())
-
-    scoring.train(level_ex, config, classes=9, epoch_callback=keep_pipe)
-    f1_pipeline = test_f1(
-        lambda segs: baselines.pipeline_predict(segs, concat_model, best_pipe["model"], 8)
+    level_model, _ = methods.train_with_dev_selection(
+        level_ex, config, 9, dev,
+        lambda m: parser("pipeline", (concat_model, m)),
     )
+    f1_pipeline = test_f1(parser("pipeline", (concat_model, level_model)))
 
     # tagging baseline, dev-selected
     tag_ex = []
     for g, s in train_p:
         tag_ex.extend(baselines.tagging_examples(g.tree, s.segments, 8))
-    best_tag = {"f1": -1.0, "model": None}
-
-    def keep_tag(epoch, model):
-        f1 = dev_f1(lambda segs: baselines.tagging_predict(segs, model, 8))
-        if f1 > best_tag["f1"]:
-            best_tag.update(f1=f1, model=model.copy())
-
-    scoring.train(tag_ex, config, classes=18, epoch_callback=keep_tag)
-    f1_tagging = test_f1(lambda segs: baselines.tagging_predict(segs, best_tag["model"], 8))
+    tag_model, _ = methods.train_with_dev_selection(
+        tag_ex, config, 18, dev,
+        lambda m: parser("tagging", (m,)),
+    )
+    f1_tagging = test_f1(parser("tagging", (tag_model,)))
 
     elapsed = time.perf_counter() - started
     assert f1_constrained >= 0.90

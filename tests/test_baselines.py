@@ -67,7 +67,9 @@ def test_label_encoding_round_trips():
 
 class TestRebuild:
     def test_heading_pops_to_shallower(self):
-        tree = rebuild_from_levels([(1, "a"), (2, "b"), (TEXT_LEVEL, "c"), (1, "d")])
+        tree = rebuild_from_levels(
+            [Unit(1, "a"), Unit(2, "b"), Unit(TEXT_LEVEL, "c"), Unit(1, "d")]
+        )
         assert flatten(tree) == [
             (1, NodeKind.HEADING, "a"),
             (2, NodeKind.HEADING, "b"),
@@ -79,11 +81,11 @@ class TestRebuild:
         assert flatten(rebuild_from_levels([])) == []
 
     def test_single_text(self):
-        tree = rebuild_from_levels([(TEXT_LEVEL, "x")])
+        tree = rebuild_from_levels([Unit(TEXT_LEVEL, "x")])
         assert flatten(tree) == [(1, NodeKind.TEXT, "x")]
 
     def test_skipped_levels_allowed(self):
-        tree = rebuild_from_levels([(1, "a"), (3, "deep"), (TEXT_LEVEL, "t")])
+        tree = rebuild_from_levels([Unit(1, "a"), Unit(3, "deep"), Unit(TEXT_LEVEL, "t")])
         assert flatten(tree) == [
             (1, NodeKind.HEADING, "a"),
             (2, NodeKind.HEADING, "deep"),

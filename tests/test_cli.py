@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 
 import pytest
@@ -174,6 +175,49 @@ def test_bridge_scorer_predict(workspace):
     for doc in docs:
         for child in doc.tree.root.children:
             assert child.kind.value == "text"
+
+
+def test_bridge_child_is_closed_after_predict(workspace):
+    pid_file = workspace / "child.pid"
+    scorer_py = workspace / "pid_scorer.py"
+    scorer_py.write_text(
+        "import json, os, sys\n"
+        f"open({str(pid_file)!r}, 'w').write(str(os.getpid()))\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    print(json.dumps({'id': req['id'], 'logits': [0.0, 1.0, 0.0, 0.0]}), flush=True)\n"
+    )
+    assert run(
+        "predict",
+        "--segments", workspace / "segs.jsonl",
+        "--scorer", f"bridge:{sys.executable} -u {scorer_py}",
+        "--out", workspace / "bridge-pred.jsonl",
+    ) == 0
+    # the child was waited for, so it is no longer ours to reap
+    with pytest.raises(ChildProcessError):
+        os.waitpid(int(pid_file.read_text()), os.WNOHANG)
+
+
+@pytest.mark.parametrize(
+    "program",
+    [None, "import sys\nfor line in sys.stdin:\n    print('not json', flush=True)\n"],
+    ids=["unlaunchable", "not-json"],
+)
+def test_bridge_failure_exits_1(workspace, capsys, program):
+    command = "/nonexistent/scorer"
+    if program is not None:
+        scorer_py = workspace / "bad_scorer.py"
+        scorer_py.write_text(program)
+        command = f"{sys.executable} -u {scorer_py}"
+    assert run(
+        "predict",
+        "--segments", workspace / "segs.jsonl",
+        "--scorer", f"bridge:{command}",
+        "--out", workspace / "bridge-pred.jsonl",
+    ) == 1
+    err = capsys.readouterr().err
+    assert "scorer bridge failed" in err
+    assert "Traceback" not in err
 
 
 def test_oracle_check_passes_and_fails(workspace, tmp_path):

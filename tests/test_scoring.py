@@ -13,10 +13,10 @@ from catparse.scoring import (
     LinearModel,
     ScoringInput,
     TrainConfig,
-    example_loss_and_grad,
     featurize,
+    inverse_frequency_weights,
     load_model,
-    mean_cross_entropy,
+    loss_and_grad,
     save_model,
     score,
     softmax,
@@ -138,11 +138,16 @@ class TestTrain:
 
     def test_loss_decreases(self):
         examples = separable_examples() * 4
-        zero = LinearModel.create(dim=SMALL_DIM)
-        before = mean_cross_entropy(zero, examples, FeaturizerConfig(dim=SMALL_DIM))
+        cfg = FeaturizerConfig(dim=SMALL_DIM)
+        labels = [int(label) for _, label in examples]
+
+        def mean_loss(model):
+            feats = [featurize(example, model.hash_seed, cfg) for example, _ in examples]
+            return loss_and_grad(model, feats, labels, np.ones(4))[0]
+
+        before = mean_loss(LinearModel.create(dim=SMALL_DIM))
         model = train(examples, TrainConfig(epochs=5, seed=0), dim=SMALL_DIM)
-        after = mean_cross_entropy(model, examples, FeaturizerConfig(dim=SMALL_DIM))
-        assert after < before
+        assert mean_loss(model) < before
 
     def test_bit_identical_reruns(self):
         examples = separable_examples() * 5
@@ -200,7 +205,8 @@ class TestGradient:
             )
             label = case % 4
             indices, values = featurize(example, model.hash_seed, cfg)
-            _, grad_w, grad_b = example_loss_and_grad(model, indices, values, label)
+            _, cols, grad_w, _ = loss_and_grad(model, [(indices, values)], [label], np.ones(4))
+            assert np.array_equal(cols, indices)
 
             def loss_at(m):
                 logits = m.logits_for(indices, values)
@@ -222,6 +228,51 @@ class TestGradient:
                     assert abs(numeric - analytic) / denom < 1e-4
                     checked += 1
         assert checked >= 20
+
+    def test_batch_matches_finite_differences(self):
+        """Class-weighted examples that share feature columns: covers the
+        scatter-add, the per-class weights and the 1/len(batch) scale."""
+        rng = np.random.default_rng(99)
+        cfg = FeaturizerConfig(dim=SMALL_DIM)
+        model = LinearModel.create(dim=SMALL_DIM)
+        model.weights[:] = rng.normal(size=model.weights.shape) * 0.5
+        model.bias[:] = rng.normal(size=4) * 0.5
+        batch = [
+            (inp(NodeKind.ROOT, "", "1. 概述"), 0),
+            (inp(NodeKind.HEADING, "1. 概述", "正文内容。"), 1),
+            (inp(NodeKind.TEXT, "正文内容", "内容。"), 2),
+            (inp(NodeKind.TEXT, "正文内容。", "2. 概述"), 3),
+            (inp(NodeKind.HEADING, "2. 概述", "正文内容。"), 1),
+        ]
+        feats = [featurize(example, model.hash_seed, cfg) for example, _ in batch]
+        labels = np.array([label for _, label in batch])
+        weights = inverse_frequency_weights(labels, 4)
+        assert weights[1] != weights[0]
+        loss, cols, grad_w, grad_b = loss_and_grad(model, feats, labels, weights)
+        assert len(cols) < sum(len(indices) for indices, _ in feats)
+
+        expected = np.mean([
+            weights[label] * -np.log(softmax(model.logits_for(*f))[label])
+            for f, label in zip(feats, labels)
+        ])
+        assert loss == pytest.approx(expected, rel=1e-12)
+
+        def check(param, index, analytic):
+            step = 1e-6
+            param[index] += step
+            up = loss_and_grad(model, feats, labels, weights)[0]
+            param[index] -= 2 * step
+            down = loss_and_grad(model, feats, labels, weights)[0]
+            param[index] += step
+            numeric = (up - down) / (2 * step)
+            denom = max(1e-8, abs(numeric) + abs(analytic))
+            assert abs(numeric - analytic) / denom < 1e-4
+
+        for k, col in enumerate(cols):
+            for cls in range(4):
+                check(model.weights, (cls, col), grad_w[cls, k])
+        for cls in range(4):
+            check(model.bias, cls, grad_b[cls])
 
 
 class TestModelFile:
