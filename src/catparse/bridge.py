@@ -45,6 +45,9 @@ class ScorerBridge:
             )
         except OSError as exc:
             raise BridgeIO(f"cannot start scorer process {argv!r}: {exc}") from exc
+        # Writes must not block past a request's deadline when the child
+        # stops reading and the pipe fills up.
+        os.set_blocking(self._proc.stdin.fileno(), False)
         self.timeout = timeout
         self._next_id = 0
         self._buffer = b""
@@ -84,18 +87,31 @@ class ScorerBridge:
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line
 
+    def _write(self, payload: bytes, deadline: float) -> None:
+        fd = self._proc.stdin.fileno()
+        view = memoryview(payload)
+        while True:
+            try:
+                view = view[os.write(fd, view):]
+            except BlockingIOError:
+                pass
+            except OSError as exc:
+                raise BridgeIO(f"scorer pipe closed: {exc}") from exc
+            if not view:
+                return
+            # The pipe is full: wait until the child reads or the deadline passes.
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not select.select([], [fd], [], remaining)[1]:
+                raise BridgeIO(f"scorer stopped reading; timed out after {self.timeout}s")
+
     def score_raw(self, kind: str, focus_text: str, segment_text: str) -> list[float]:
         request_id = self._next_id
         self._next_id += 1
         request = {"id": request_id, "s_kind": kind, "s": focus_text, "q": segment_text}
-        payload = json.dumps(request, ensure_ascii=False) + "\n"
-        try:
-            self._proc.stdin.write(payload.encode("utf-8"))
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise BridgeIO(f"scorer pipe closed: {exc}") from exc
-
-        line = self._read_line(time.monotonic() + self.timeout)
+        payload = (json.dumps(request, ensure_ascii=False) + "\n").encode("utf-8")
+        deadline = time.monotonic() + self.timeout
+        self._write(payload, deadline)
+        line = self._read_line(deadline)
         try:
             response = json.loads(line)
         except json.JSONDecodeError as exc:

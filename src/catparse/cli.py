@@ -3,8 +3,8 @@
 Subcommands: generate, chunk, train, predict, evaluate, oracle-check,
 stats. All of them read and write the JSON-lines formats described in
 ``jsonio`` and drop a run manifest next to their outputs. Exit codes:
-0 success, 1 I/O, scorer bridge or check failure, 2 schema violation,
-3 training failure.
+0 success, 1 I/O, scorer bridge or check failure, 2 schema violation or
+an empty dev or gold corpus, 3 training failure.
 """
 from __future__ import annotations
 
@@ -221,6 +221,8 @@ def cmd_train(args) -> int:
     train_pairs = _subsample(train_pairs, args.subsample, args.seed)
     if not train_pairs:
         raise EmptyTrainingSet("the training corpus is empty")
+    if not dev_pairs:
+        raise metrics.EmptyEvaluation(f"the dev corpus {args.dev} is empty")
 
     config = scoring.TrainConfig(
         learning_rate=args.lr,
@@ -256,7 +258,13 @@ def cmd_train(args) -> int:
                 level_examples.extend(levels)
             if not level_examples:
                 raise EmptyTrainingSet("no unit examples in the training corpus")
-            concat_model = scoring.train(pair_examples, config, classes=2)
+            # Documents of a single segment have no adjacent pairs. Without
+            # any, the merge head stays untrained: all-zero logits argmax to
+            # NEW_UNIT, so it never merges.
+            if pair_examples:
+                concat_model = scoring.train(pair_examples, config, classes=2)
+            else:
+                concat_model = scoring.LinearModel.create(classes=2, hash_seed=args.seed)
             log.info("pipeline: merge head trained on %d pairs", len(pair_examples))
             level_model, history = select(
                 level_examples,
@@ -498,6 +506,9 @@ def main(argv: list[str] | None = None) -> int:
     except (EmptyTrainingSet, TrainingFailure) as exc:
         print(f"training failed: {exc}", file=sys.stderr)
         return 3
+    except metrics.EmptyEvaluation as exc:
+        print(f"nothing to evaluate: {exc}", file=sys.stderr)
+        return 2
     except (BridgeIO, BridgeProtocol) as exc:
         print(f"scorer bridge failed: {exc}", file=sys.stderr)
         return 1

@@ -4,7 +4,12 @@ scorer interface the decoder consumes.
 The built-in backend hashes character n-grams of the focus node's content
 and the incoming segment into a fixed-dimension vector, adds a small block
 of dense indicator features, and scores actions with a linear layer
-followed by a softmax. Training minimizes mean cross-entropy with
+followed by a softmax. Each 1-, 2- or 3-gram ``g`` of ``^focus$``
+(namespace ``ns = b"s:"``) and of ``^segment$`` (``ns = b"q:"``) counts
+once in feature
+``INDICATOR_SLOTS + zlib.crc32(g_utf8, zlib.crc32(ns, seed & 0xFFFFFFFF)) % (dim - INDICATOR_SLOTS)``,
+and the n-gram counts are L2-normalized; external scorers can rebuild
+the features from this formula. Training minimizes mean cross-entropy with
 adaptive moment estimation and decoupled weight decay; moment updates are
 applied lazily per touched feature column, so cost scales with the sparse
 footprint of each batch rather than the full dimension.
@@ -191,23 +196,56 @@ def _numbering_hits(text: str, patterns: list[NumberingPattern]) -> tuple[list[i
     return hits, depth
 
 
+def _crc32_table() -> np.ndarray:
+    """The 256-entry table of the reflected CRC-32 polynomial ``zlib`` uses."""
+    table = np.arange(256, dtype=np.uint32)
+    for _ in range(8):
+        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
+    return table
+
+
+_CRC32_TABLE = _crc32_table()
+
+
 def _hash_ngrams(
-    text: str, namespace: bytes, seed: int, buckets: int, counts: dict[int, float]
-) -> None:
-    padded = "^" + text + "$"
-    data = padded.encode("utf-8")
-    # Precompute byte offsets per character so slicing stays cheap for
-    # multi-byte scripts.
-    offsets = [0]
-    for ch in padded:
-        offsets.append(offsets[-1] + len(ch.encode("utf-8")))
-    base = zlib.crc32(namespace, seed & 0xFFFFFFFF)
-    n_chars = len(padded)
-    for n in (1, 2, 3):
-        for start in range(n_chars - n + 1):
-            gram = data[offsets[start]:offsets[start + n]]
-            bucket = INDICATOR_SLOTS + zlib.crc32(gram, base) % buckets
-            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    focus: str, segment: str, seed: int, buckets: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted n-gram features of ``^focus$`` and ``^segment$`` (formula in
+    the module docstring, ``buckets = dim - INDICATOR_SLOTS``) with their
+    counts.
+
+    Both padded texts go through one table-driven CRC-32 pass, equal to
+    ``zlib.crc32`` bit for bit: one register per starting character
+    absorbs the bytes of that character, then of the next two, and is read
+    out after each, which gives all three gram lengths at once; grams that
+    run from one text into the other are dropped.
+    """
+    text = "^" + focus + "$^" + segment + "$"
+    # Four NUL bytes after the text: the first marks the end of the last
+    # character, all four keep byte reads of a 4-byte character in range.
+    data = np.frombuffer((text + "\0\0\0\0").encode("utf-8"), np.uint8)
+    bounds = np.flatnonzero((data[:-3] & 0xC0) != 0x80)
+    starts, widths = bounds[:-1], bounds[1:] - bounds[:-1]
+    width = int(widths.max())
+    data = data.astype(np.uint32)
+    # columns[k][c]: byte k of character c (a later character's byte, or
+    # NUL, where c is shorter; masked out below).
+    columns = [data[starts + k] for k in range(width)]
+    # A CRC-32 register holds the complement of the running value.
+    split = len(focus) + 2
+    register = np.full(len(text), zlib.crc32(b"q:", seed & 0xFFFFFFFF) ^ 0xFFFFFFFF, np.uint32)
+    register[:split] = zlib.crc32(b"s:", seed & 0xFFFFFFFF) ^ 0xFFFFFFFF
+    grams = []
+    for n in range(3):
+        # The register of the gram starting at character i absorbs character i+n.
+        register = register[: len(text) - n]
+        for k in range(width):
+            update = _CRC32_TABLE[(register ^ columns[k][n:]) & 0xFF] ^ (register >> 8)
+            register = update if k == 0 else np.where(widths[n:] > k, update, register)
+        # Grams starting in the focus's last n characters run into the segment.
+        grams += [register[: split - n], register[split:]]
+    crc = ~np.concatenate(grams)
+    return np.unique(INDICATOR_SLOTS + crc.astype(np.int64) % buckets, return_counts=True)
 
 
 def featurize(
@@ -218,10 +256,11 @@ def featurize(
     """Hash one scoring input into a sparse (indices, values) pair.
 
     Character 1- to 3-grams of the focus and segment texts live in
-    disjoint hash namespaces inside the n-gram block; the dense indicator
-    block occupies its own reserved index range, so the two can never
-    collide. The n-gram block is L2-normalized so the indicators keep a
-    stable share of the margin. Deterministic for a fixed hash seed.
+    disjoint hash namespaces inside the n-gram block (formula in the
+    module docstring); the dense indicator block occupies its own reserved
+    index range, so the two can never collide. The n-gram block is
+    L2-normalized so the indicators keep a stable share of the margin.
+    Deterministic for a fixed hash seed.
     """
     counts: dict[int, float] = {}
     counts[_KIND_SLOT[inp.focus_kind]] = 1.0
@@ -264,17 +303,12 @@ def featurize(
         else:
             counts[_NEITHER_NUMBERED_SLOT] = 1.0
 
-    buckets = config.dim - INDICATOR_SLOTS
-    _hash_ngrams(focus, b"s:", hash_seed, buckets, counts)
-    _hash_ngrams(segment, b"q:", hash_seed, buckets, counts)
-
-    indices = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
-    grams = indices >= INDICATOR_SLOTS
-    norm = float(np.sqrt(np.sum(values[grams] ** 2)))
-    if norm > 0:
-        values[grams] /= norm
-    return indices, values
+    grams, gram_counts = _hash_ngrams(focus, segment, hash_seed, config.dim - INDICATOR_SLOTS)
+    values = gram_counts.astype(np.float64)
+    # The counts are integers, so their sum of squares is exact in any order.
+    values /= np.sqrt(np.sum(values**2))
+    indicators = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
+    return np.concatenate([indicators, grams]), np.concatenate([np.ones(len(counts)), values])
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import sys
+import time
 
 import pytest
 
@@ -47,6 +48,11 @@ for line in sys.stdin:
 SLEEPER = """
 import sys, time
 sys.stdin.readline()
+time.sleep(60)
+"""
+
+NEVER_READS = """
+import time
 time.sleep(60)
 """
 
@@ -118,6 +124,15 @@ def test_timeout_is_io_error():
     with ScorerBridge(bridge_program(SLEEPER), timeout=0.4) as bridge:
         with pytest.raises(BridgeIO):
             bridge.score_raw("root", "", "q")
+
+
+def test_child_that_never_reads_times_out_the_write():
+    # 300 KB is several pipe buffers: the write itself must give up.
+    with ScorerBridge(bridge_program(NEVER_READS), timeout=1.0) as bridge:
+        started = time.monotonic()
+        with pytest.raises(BridgeIO):
+            bridge.score_raw("text", "x" * 300_000, "q")
+        assert time.monotonic() - started < 4.0
 
 
 def test_unlaunchable_command_is_io_error():

@@ -320,3 +320,64 @@ def test_seeded_runs_are_byte_identical(tmp_path):
         ) == 0
         outputs.append([p.read_bytes() for p in (docs, segs, gold, model, pred)])
     assert outputs[0] == outputs[1]
+
+
+def test_empty_dev_corpus_exits_2_before_training(workspace, capsys, caplog):
+    empty = workspace / "empty.jsonl"
+    empty.write_text("")
+    assert run(
+        "train",
+        "--train", workspace / "gold.jsonl",
+        "--train-segments", workspace / "segs.jsonl",
+        "--dev", empty,
+        "--model-out", workspace / "m.bin",
+        *FAST_TRAIN,
+    ) == 2
+    assert not any("epoch" in record.getMessage() for record in caplog.records)
+    assert not (workspace / "m.bin").exists()
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "empty" in err[0]
+
+
+def test_empty_gold_file_exits_2(workspace, capsys):
+    empty = workspace / "empty.jsonl"
+    empty.write_text("")
+    assert run("evaluate", "--gold", empty, "--pred", workspace / "gold.jsonl") == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "nothing to evaluate" in err[0]
+
+
+def test_one_segment_documents_train_and_predict_every_method(tmp_path):
+    """A one-heading corpus gives the pipeline's merge head no adjacent
+    pairs; it is kept untrained, so it never merges."""
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text(
+        json.dumps(
+            {
+                "id": "one", "source": "x",
+                "root": {
+                    "kind": "root", "content": "", "segments": [],
+                    "children": [
+                        {"kind": "heading", "content": "1. Overview", "segments": [0],
+                         "children": []},
+                    ],
+                },
+            }
+        )
+        + "\n"
+    )
+    segs = tmp_path / "segs.jsonl"
+    segs.write_text(json.dumps({"id": "one", "segments": ["1. Overview"]}) + "\n")
+    for method in ("transition", "pipeline", "tagging"):
+        model = tmp_path / f"{method}.bin"
+        assert run(
+            "train", "--method", method, "--train", corpus, "--dev", corpus,
+            "--model-out", model, "--epochs", "1",
+        ) == 0
+        pred = tmp_path / f"{method}-pred.jsonl"
+        assert run(
+            "predict", "--method", method, "--segments", segs,
+            "--scorer", f"linear:{model}", "--out", pred,
+        ) == 0
+        (doc,) = read_corpus(pred)
+        assert [node.content for node in doc.tree.root.children] == ["1. Overview"]

@@ -1,6 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catparse.scoring import (
@@ -23,6 +25,8 @@ from catparse.scoring import (
     train,
 )
 from catparse.tree import Action, NodeKind
+
+from .featurize_reference import reference_featurize
 
 SMALL_DIM = 1 << 14
 
@@ -77,6 +81,64 @@ class TestFeaturize:
         assert 56 in indices  # one deeper
         indices, _ = featurize(inp(NodeKind.HEADING, "2.1 概述", "2.2 其他"))
         assert 57 in indices  # sibling depth
+
+
+# Characters of every UTF-8 length, combining marks and the padding marks.
+CHARS = st.one_of(
+    st.sampled_from("^$ .1第章。\u0301\u0300"),
+    st.characters(max_codepoint=0x7F),
+    st.characters(min_codepoint=0x80, max_codepoint=0x7FF),
+    st.characters(min_codepoint=0x800, max_codepoint=0xFFFF, exclude_categories=("Cs",)),
+    st.characters(min_codepoint=0x10000),
+)
+SEEDS = st.one_of(
+    st.integers(-(2**63), -1), st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1)
+)
+
+# featurize over these inputs hashed to this digest before the n-gram
+# loop was vectorized; a change that moves the kernel and the reference
+# together shows here.
+PINNED_INPUTS = [
+    (NodeKind.ROOT, "", "1. Introduction", 0, 1 << 18),
+    (NodeKind.HEADING, "第一章 总则", "第一节 目的", 7, 1 << 18),
+    (NodeKind.TEXT, "The balance", "was 474 billion yuan.", -3, 65),
+    (NodeKind.TEXT, "e\u0301e\u0301 \U0001F600x", "\U00020000。", 2**32 + 5, 1000),
+    (NodeKind.HEADING, "2.1 概述" * 40, "2.1.1 细节", 123456789, 1 << 20),
+    (NodeKind.TEXT, "", "a", 1, 66),
+]
+PINNED_SHA256 = "3e5d8d1d6f2cb47b4a7c19e4e9dd821eaa1db8c37e19829bd60f1b5ac8f02a26"
+
+
+class TestHashKernel:
+    @given(
+        st.sampled_from(list(NodeKind)),
+        st.text(CHARS, max_size=40),
+        st.text(CHARS, min_size=1, max_size=40),
+        SEEDS,
+        st.sampled_from([65, 1000, 1 << 18, 1 << 20]),
+    )
+    @example(NodeKind.ROOT, "", "x", 0, 65)
+    @example(NodeKind.TEXT, "\U0001F600e\u0301", "\U00020000", -1, 1 << 20)
+    @example(NodeKind.HEADING, "第一章", "。", 2**32, 1000)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_loop(self, kind, focus, segment, seed, dim):
+        example = ScoringInput(focus_kind=kind, focus_text=focus, segment_text=segment)
+        config = FeaturizerConfig(dim=dim)
+        indices, values = featurize(example, seed, config)
+        ref_indices, ref_values = reference_featurize(example, seed, config)
+        assert indices.dtype == ref_indices.dtype and values.dtype == ref_values.dtype
+        assert np.array_equal(indices, ref_indices)
+        assert np.array_equal(values, ref_values)
+
+    def test_pinned_digest(self):
+        digest = hashlib.sha256()
+        for kind, focus, segment, seed, dim in PINNED_INPUTS:
+            indices, values = featurize(
+                ScoringInput(kind, focus, segment), seed, FeaturizerConfig(dim=dim)
+            )
+            digest.update(indices.astype("<i8").tobytes())
+            digest.update(values.astype("<f8").tobytes())
+        assert digest.hexdigest() == PINNED_SHA256
 
 
 class TestScore:
