@@ -23,7 +23,6 @@ from .scoring import (  # noqa: F401
     ActionScorer,
     ActionScores,
     LinearModel,
-    LinearScorer,
     ScoringInput,
     TrainConfig,
     featurize,

@@ -18,13 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .scoring import (
-    DEFAULT_FEATURIZER,
-    FeaturizerConfig,
-    LinearModel,
-    ScoringInput,
-    featurize,
-)
+from .scoring import LinearModel, ScoringInput, featurize
 from .tree import (
     CatalogNode,
     CatalogTree,
@@ -175,6 +169,11 @@ def rebuild_from_levels(units: Sequence[Unit]) -> CatalogTree:
     return tree
 
 
+def _predict_class(model: LinearModel, inp: ScoringInput) -> int:
+    indices, values = featurize(inp, model.hash_seed, model.dim)
+    return int(model.logits_for(indices, values).argmax())
+
+
 def _merge_segments(
     segments: Sequence[Segment],
     merge_after: Sequence[bool],
@@ -205,20 +204,13 @@ def pipeline_predict(
     """Merge-then-classify prediction."""
     if not segments:
         return CatalogTree.empty()
-    config = FeaturizerConfig(dim=getattr(concat_model, "dim", DEFAULT_FEATURIZER.dim))
     merge_after = [False] * len(segments)
     for i in range(1, len(segments)):
-        indices, values = featurize(
-            _pair_input(segments[i - 1], segments[i]), concat_model.hash_seed, config
-        )
-        logits = concat_model.logits_for(indices, values)
-        merge_after[i] = int(logits.argmax()) == MERGE
+        pair = _pair_input(segments[i - 1], segments[i])
+        merge_after[i] = _predict_class(concat_model, pair) == MERGE
     units = []
     for content, seg_indices in _merge_segments(segments, merge_after, joiner):
-        indices, values = featurize(
-            _unit_input(content), level_model.hash_seed, config
-        )
-        cls = int(level_model.logits_for(indices, values).argmax())
+        cls = _predict_class(level_model, _unit_input(content))
         units.append(
             Unit(
                 level=class_to_level(cls, max_depth),
@@ -242,14 +234,10 @@ def tagging_predict(
     """
     if not segments:
         return CatalogTree.empty()
-    config = FeaturizerConfig(dim=getattr(tag_model, "dim", DEFAULT_FEATURIZER.dim))
     units: list[Unit] = []
     open_level: int | None = None
     for i, segment in enumerate(segments):
-        indices, values = featurize(
-            _tag_input(segments, i), tag_model.hash_seed, config
-        )
-        cls = int(tag_model.logits_for(indices, values).argmax())
+        cls = _predict_class(tag_model, _tag_input(segments, i))
         level = class_to_level(cls // 2, max_depth)
         inside = cls % 2 == 1
         if inside and open_level == level:
@@ -266,21 +254,3 @@ def tagging_predict(
             open_level = level
     return rebuild_from_levels(units)
 
-
-def oracle_units(gold: CatalogTree, max_depth: int) -> list[Unit]:
-    """The units a perfect level classifier would produce for a gold tree.
-
-    Heading levels deeper than ``max_depth`` clamp, which is exactly why
-    these formulations cannot reproduce trees beyond their label set.
-    """
-    units = []
-    for node, level in iter_nodes(gold):
-        target = TEXT_LEVEL if node.kind is NodeKind.TEXT else min(level, max_depth)
-        units.append(
-            Unit(
-                level=target,
-                content=node.content,
-                segments=tuple(node.source_segments),
-            )
-        )
-    return units

@@ -53,17 +53,19 @@ class ScorerBridge:
         self._buffer = b""
 
     def close(self) -> None:
+        """Close both pipes, then wait for the child (killing it after 2 s);
+        the pipes are closed even when the child has already exited."""
         proc = self._proc
-        if proc.poll() is None:
+        for pipe in (proc.stdin, proc.stdout):
             try:
-                proc.stdin.close()
+                pipe.close()
             except OSError:
                 pass
-            try:
-                proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
+        try:
+            proc.wait(timeout=2.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
 
     def __enter__(self) -> "ScorerBridge":
         return self

@@ -3,8 +3,9 @@
 Subcommands: generate, chunk, train, predict, evaluate, oracle-check,
 stats. All of them read and write the JSON-lines formats described in
 ``jsonio`` and drop a run manifest next to their outputs. Exit codes:
-0 success, 1 I/O, scorer bridge or check failure, 2 schema violation or
-an empty dev or gold corpus, 3 training failure.
+0 success, 1 I/O, scorer bridge or check failure, 2 schema violation, a
+training tree no transition sequence rebuilds, or an empty dev or gold
+corpus, 3 training failure.
 """
 from __future__ import annotations
 
@@ -232,63 +233,23 @@ def cmd_train(args) -> int:
         seed=args.seed,
         class_weighting=args.class_weights,
     )
-    dev = [(doc.tree, segments) for doc, segments in dev_pairs]
-
-    def select(examples, classes, heads_for):
-        return methods.train_with_dev_selection(
-            examples,
-            config,
-            classes,
-            dev,
-            lambda model: methods.parser_for(
-                args.method, heads_for(model), True, joiner, args.max_depth
-            ),
-        )
-
+    if args.dump_actions:
+        _write_action_dump(args.dump_actions, train_pairs, joiner)
     try:
-        if args.method == "transition":
-            examples = _transition_examples(args, train_pairs, joiner)
-            model, history = select(examples, 4, lambda m: (scoring.LinearScorer(m),))
-            heads = (model,)
-        elif args.method == "pipeline":
-            pair_examples, level_examples = [], []
-            for doc, segments in train_pairs:
-                pairs, levels = baselines.pipeline_examples(doc.tree, segments, args.max_depth)
-                pair_examples.extend(pairs)
-                level_examples.extend(levels)
-            if not level_examples:
-                raise EmptyTrainingSet("no unit examples in the training corpus")
-            # Documents of a single segment have no adjacent pairs. Without
-            # any, the merge head stays untrained: all-zero logits argmax to
-            # NEW_UNIT, so it never merges.
-            if pair_examples:
-                concat_model = scoring.train(pair_examples, config, classes=2)
-            else:
-                concat_model = scoring.LinearModel.create(classes=2, hash_seed=args.seed)
-            log.info("pipeline: merge head trained on %d pairs", len(pair_examples))
-            level_model, history = select(
-                level_examples,
-                baselines.level_label_count(args.max_depth),
-                lambda m: (concat_model, m),
-            )
-            heads = (concat_model, level_model)
-        else:
-            examples = []
-            for doc, segments in train_pairs:
-                examples.extend(baselines.tagging_examples(doc.tree, segments, args.max_depth))
-            log.info("tagging: %d tagged segments", len(examples))
-            model, history = select(
-                examples, baselines.tag_count(args.max_depth), lambda m: (m,)
-            )
-            heads = (model,)
+        heads, history = methods.train_heads(
+            args.method,
+            [(doc.tree, segments) for doc, segments in train_pairs],
+            [(doc.tree, segments) for doc, segments in dev_pairs],
+            config,
+            joiner,
+            args.max_depth,
+        )
     except EmptyTrainingSet:
         raise
     except (ValueError, ArithmeticError) as exc:
         raise TrainingFailure(str(exc)) from exc
 
-    with open(args.model_out, "wb") as handle:
-        for model, magic in zip(heads, methods.HEAD_MAGICS[args.method]):
-            scoring.write_container(handle, model, magic)
+    methods.save_heads(args.model_out, args.method, heads)
     best_epoch = history.index(max(history)) + 1
     log.info("kept epoch %d (dev F1 %.4f) -> %s", best_epoch, max(history), args.model_out)
 
@@ -307,29 +268,23 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _transition_examples(args, train_pairs, joiner) -> list:
-    examples = []
-    dump_rows = []
+def _write_action_dump(path: str, train_pairs, joiner: str) -> None:
+    """Write the gold transition actions of the training corpus, whatever
+    the method being trained."""
+    rows = []
     for doc, segments in train_pairs:
-        doc_examples = engine.oracle_examples(doc.tree, segments, joiner)
-        examples.extend(doc_examples)
-        if args.dump_actions:
-            for step, (inp, action) in enumerate(doc_examples):
-                dump_rows.append(
-                    {
-                        "doc_id": doc.doc_id,
-                        "step": step,
-                        "s_kind": inp.focus_kind.value,
-                        "s_content": inp.focus_text,
-                        "q_content": inp.segment_text,
-                        "gold_action": action.wire_name,
-                    }
-                )
-    if args.dump_actions:
-        jsonio.write_action_dump(args.dump_actions, dump_rows)
-    log.info("training on %d action examples from %d documents",
-             len(examples), len(train_pairs))
-    return examples
+        for step, (inp, action) in enumerate(engine.oracle_examples(doc.tree, segments, joiner)):
+            rows.append(
+                {
+                    "doc_id": doc.doc_id,
+                    "step": step,
+                    "s_kind": inp.focus_kind.value,
+                    "s_content": inp.focus_text,
+                    "q_content": inp.segment_text,
+                    "gold_action": action.wire_name,
+                }
+            )
+    jsonio.write_action_dump(path, rows)
 
 
 # Worker state for --jobs parallelism. Each worker process builds its own
@@ -363,13 +318,7 @@ def _build_predictor(scorer_spec, method, constrained, joiner, max_depth, resour
             raise ValueError(f"method {method} requires a linear: scorer")
         heads = (BridgeScorer(resources.enter_context(ScorerBridge(rest))),)
     else:
-        with open(rest, "rb") as handle:
-            heads = tuple(
-                scoring.read_container(handle, magic, rest)
-                for magic in methods.HEAD_MAGICS[method]
-            )
-        if method == "transition":
-            heads = (scoring.LinearScorer(heads[0]),)
+        heads = methods.load_heads(rest, method)
     return methods.parser_for(method, heads, constrained, joiner, max_depth)
 
 
@@ -508,6 +457,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except metrics.EmptyEvaluation as exc:
         print(f"nothing to evaluate: {exc}", file=sys.stderr)
+        return 2
+    except engine.OracleError as exc:
+        print(f"no transition sequence rebuilds a training tree: {exc}", file=sys.stderr)
         return 2
     except (BridgeIO, BridgeProtocol) as exc:
         print(f"scorer bridge failed: {exc}", file=sys.stderr)

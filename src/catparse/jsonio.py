@@ -11,7 +11,8 @@ Three line-oriented formats are used throughout:
   ``{"doc_id", "step", "s_kind", "s_content", "q_content", "gold_action"}``
 
 All files are UTF-8. Parsing validates the schema and reports the path of
-the offending field.
+the offending field; strings UTF-8 cannot encode (lone surrogates) are
+schema errors.
 """
 from __future__ import annotations
 
@@ -42,6 +43,15 @@ class Document:
 class SegmentStream:
     doc_id: str
     segments: list[Segment] = field(default_factory=list)
+
+
+def _check_utf8(text: str, path: str) -> None:
+    """Reject strings UTF-8 cannot encode: lone surrogates, which a JSON
+    ``\\ud800`` escape decodes to."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise SchemaError(path, "holds a lone surrogate, which UTF-8 cannot encode") from None
 
 
 def serialize_tree(tree: CatalogTree) -> dict[str, Any]:
@@ -88,6 +98,7 @@ def _parse_node(obj: Any, path: str, top: bool) -> CatalogNode:
     content = obj.get("content", "")
     if not isinstance(content, str):
         raise SchemaError(f"{path}.content", "must be a string")
+    _check_utf8(content, f"{path}.content")
     segments = obj.get("segments", [])
     if not isinstance(segments, list) or any(
         not isinstance(i, int) or isinstance(i, bool) for i in segments
@@ -127,9 +138,11 @@ def document_from_obj(obj: Any, path: str = "$") -> Document:
     doc_id = obj.get("id")
     if not isinstance(doc_id, str):
         raise SchemaError(f"{path}.id", "missing or not a string")
+    _check_utf8(doc_id, f"{path}.id")
     source = obj.get("source", "")
     if not isinstance(source, str):
         raise SchemaError(f"{path}.source", "must be a string")
+    _check_utf8(source, f"{path}.source")
     if "root" not in obj:
         raise SchemaError(f"{path}.root", "missing field")
     tree = parse_tree(obj["root"], f"{path}.root")
@@ -156,11 +169,13 @@ def stream_from_obj(obj: Any, path: str = "$", joiner: str = "") -> SegmentStrea
     doc_id = obj.get("id")
     if not isinstance(doc_id, str):
         raise SchemaError(f"{path}.id", "missing or not a string")
+    _check_utf8(doc_id, f"{path}.id")
     texts = obj.get("segments")
     if not isinstance(texts, list) or any(not isinstance(t, str) for t in texts):
         raise SchemaError(f"{path}.segments", "must be a list of strings")
     segments = []
     for i, raw in enumerate(texts):
+        _check_utf8(raw, f"{path}.segments[{i}]")
         text = normalize_segment_text(raw, joiner)
         if not text:
             raise SchemaError(f"{path}.segments[{i}]", "empty segment text")

@@ -9,10 +9,12 @@ followed by a softmax. Each 1-, 2- or 3-gram ``g`` of ``^focus$``
 once in feature
 ``INDICATOR_SLOTS + zlib.crc32(g_utf8, zlib.crc32(ns, seed & 0xFFFFFFFF)) % (dim - INDICATOR_SLOTS)``,
 and the n-gram counts are L2-normalized; external scorers can rebuild
-the features from this formula. Training minimizes mean cross-entropy with
-adaptive moment estimation and decoupled weight decay; moment updates are
-applied lazily per touched feature column, so cost scales with the sparse
-footprint of each batch rather than the full dimension.
+the features from this formula. A ``LinearModel`` is itself an
+``ActionScorer``, and ``dim`` is the width of its weights. Training
+minimizes mean cross-entropy with adaptive moment estimation and
+decoupled weight decay; moment updates are applied lazily per touched
+feature column, so cost scales with the sparse footprint of each batch
+rather than the full dimension.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import re
 import struct
 import zlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -62,7 +64,6 @@ _SKIPPED_DEPTH_SLOT = 58
 _ONLY_FOCUS_NUMBERED_SLOT = 59
 _ONLY_SEGMENT_NUMBERED_SLOT = 60
 _NEITHER_NUMBERED_SLOT = 61
-_MAX_PATTERNS = 16
 
 
 class EmptyTrainingSet(Exception):
@@ -106,6 +107,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
+class ActionScorer(ABC):
+    """Anything that can score the four actions for a (focus, segment) pair."""
+
+    @abstractmethod
+    def score_input(self, inp: ScoringInput) -> ActionScores:
+        ...
+
+
 @dataclass(frozen=True)
 class NumberingPattern:
     """A leading numbering shape, with the nesting depth it suggests."""
@@ -122,55 +131,37 @@ def _dotted_components(match: re.Match) -> int:
 _CJK_UNIT_DEPTH = {"章": 1, "篇": 1, "节": 2, "条": 3, "款": 4}
 
 
-def default_numbering_patterns() -> list[NumberingPattern]:
-    """Leading numbering shapes recognized out of the box.
-
-    The list is extensible; custom patterns slot in after these.
-    """
-    return [
-        NumberingPattern(
-            "arabic_dotted",
-            re.compile(r"^(\d+(?:[.、]\d+)*)[.、]?\s*"),
-            _dotted_components,
+# Leading numbering shapes; pattern i fires segment slot 16 + i and focus
+# slot 32 + i.
+NUMBERING_PATTERNS = (
+    NumberingPattern(
+        "arabic_dotted",
+        re.compile(r"^(\d+(?:[.、]\d+)*)[.、]?\s*"),
+        _dotted_components,
+    ),
+    NumberingPattern(
+        "cjk_ordinal",
+        re.compile(
+            r"^第[零一二三四五六七八"
+            r"九十百千\d]+"
+            r"([章篇节条款])"
         ),
-        NumberingPattern(
-            "cjk_ordinal",
-            re.compile(
-                r"^第[零一二三四五六七八"
-                r"九十百千\d]+"
-                r"([章篇节条款])"
-            ),
-            lambda m: _CJK_UNIT_DEPTH.get(m.group(1), 2),
+        lambda m: _CJK_UNIT_DEPTH.get(m.group(1), 2),
+    ),
+    NumberingPattern(
+        "parenthesized",
+        re.compile(
+            r"^[(（][\d一二三四五六七八"
+            r"九十]+[)）]"
         ),
-        NumberingPattern(
-            "parenthesized",
-            re.compile(
-                r"^[(（][\d一二三四五六七八"
-                r"九十]+[)）]"
-            ),
-            lambda m: 4,
-        ),
-        NumberingPattern(
-            "roman",
-            re.compile(r"^[IVXLCDM]+[.、)]\s*"),
-            lambda m: 1,
-        ),
-    ]
-
-
-@dataclass
-class FeaturizerConfig:
-    dim: int = DEFAULT_DIM
-    patterns: list[NumberingPattern] = field(default_factory=default_numbering_patterns)
-
-    def __post_init__(self) -> None:
-        if self.dim <= INDICATOR_SLOTS:
-            raise ValueError("feature dimension must exceed the indicator block")
-        if len(self.patterns) > _MAX_PATTERNS:
-            raise ValueError(f"at most {_MAX_PATTERNS} numbering patterns supported")
-
-
-DEFAULT_FEATURIZER = FeaturizerConfig()
+        lambda m: 4,
+    ),
+    NumberingPattern(
+        "roman",
+        re.compile(r"^[IVXLCDM]+[.、)]\s*"),
+        lambda m: 1,
+    ),
+)
 
 
 def _length_bucket(n: int) -> int:
@@ -183,11 +174,11 @@ def _length_bucket(n: int) -> int:
     return 3
 
 
-def _numbering_hits(text: str, patterns: list[NumberingPattern]) -> tuple[list[int], int]:
+def _numbering_hits(text: str) -> tuple[list[int], int]:
     """Indices of matching patterns plus the depth suggested by the first hit."""
     hits = []
     depth = 0
-    for i, pattern in enumerate(patterns):
+    for i, pattern in enumerate(NUMBERING_PATTERNS):
         match = pattern.regex.match(text)
         if match:
             hits.append(i)
@@ -249,11 +240,10 @@ def _hash_ngrams(
 
 
 def featurize(
-    inp: ScoringInput,
-    hash_seed: int = 0,
-    config: FeaturizerConfig = DEFAULT_FEATURIZER,
+    inp: ScoringInput, hash_seed: int = 0, dim: int = DEFAULT_DIM
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hash one scoring input into a sparse (indices, values) pair.
+    """Hash one scoring input into a sparse (indices, values) pair of
+    feature dimension ``dim``.
 
     Character 1- to 3-grams of the focus and segment texts live in
     disjoint hash namespaces inside the n-gram block (formula in the
@@ -272,7 +262,7 @@ def featurize(
     if len(segment) <= 20:
         counts[_SHORT_SEGMENT_SLOT] = 1.0
 
-    seg_hits, seg_depth = _numbering_hits(segment, config.patterns)
+    seg_hits, seg_depth = _numbering_hits(segment)
     for i in seg_hits:
         counts[_SEGMENT_PATTERN_BASE + i] = 1.0
     if seg_depth:
@@ -280,7 +270,7 @@ def featurize(
     else:
         counts[_SEGMENT_UNNUMBERED_SLOT] = 1.0
     if focus:
-        focus_hits, focus_depth = _numbering_hits(focus, config.patterns)
+        focus_hits, focus_depth = _numbering_hits(focus)
         for i in focus_hits:
             counts[_FOCUS_PATTERN_BASE + i] = 1.0
         if focus_depth:
@@ -303,7 +293,7 @@ def featurize(
         else:
             counts[_NEITHER_NUMBERED_SLOT] = 1.0
 
-    grams, gram_counts = _hash_ngrams(focus, segment, hash_seed, config.dim - INDICATOR_SLOTS)
+    grams, gram_counts = _hash_ngrams(focus, segment, hash_seed, dim - INDICATOR_SLOTS)
     values = gram_counts.astype(np.float64)
     # The counts are integers, so their sum of squares is exact in any order.
     values /= np.sqrt(np.sum(values**2))
@@ -312,17 +302,25 @@ def featurize(
 
 
 @dataclass
-class LinearModel:
+class LinearModel(ActionScorer):
     """A multiclass linear scorer over hashed features.
 
     The action scorer uses four classes; the baseline heads reuse the
-    same container with their own class counts.
+    same container with their own class counts. Inputs are hashed into
+    as many features as the weights have columns.
     """
 
     weights: np.ndarray  # (classes, dim) float64
     bias: np.ndarray  # (classes,) float64
     hash_seed: int
     version: int = 1
+
+    def __post_init__(self) -> None:
+        if self.dim <= INDICATOR_SLOTS:
+            raise ValueError(
+                f"feature dimension {self.dim} must exceed the"
+                f" {INDICATOR_SLOTS}-slot indicator block"
+            )
 
     @classmethod
     def create(cls, dim: int = DEFAULT_DIM, classes: int = 4, hash_seed: int = 0) -> "LinearModel":
@@ -351,16 +349,13 @@ class LinearModel:
     def logits_for(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
         return self.weights[:, indices] @ values + self.bias
 
+    def score_input(self, inp: ScoringInput) -> ActionScores:
+        return score(inp, self)
 
-def score(
-    inp: ScoringInput,
-    model: LinearModel,
-    config: FeaturizerConfig = DEFAULT_FEATURIZER,
-) -> ActionScores:
+
+def score(inp: ScoringInput, model: LinearModel) -> ActionScores:
     """Score the four actions for one input with a 4-class model."""
-    if model.classes != 4:
-        raise ValueError(f"action scoring needs a 4-class model, got {model.classes}")
-    indices, values = featurize(inp, model.hash_seed, config)
+    indices, values = featurize(inp, model.hash_seed, model.dim)
     return ActionScores.from_logits(model.logits_for(indices, values))
 
 
@@ -443,9 +438,8 @@ def train(
     """
     if not examples:
         raise EmptyTrainingSet("cannot train on an empty example list")
-    featurizer = FeaturizerConfig(dim=dim)
     model = LinearModel.create(dim=dim, classes=classes, hash_seed=config.seed)
-    feats = [featurize(inp, model.hash_seed, featurizer) for inp, _ in examples]
+    feats = [featurize(inp, model.hash_seed, dim) for inp, _ in examples]
     labels = np.array([int(label) for _, label in examples], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError("label out of range for the class count")
@@ -550,12 +544,15 @@ def read_container(handle, magic: bytes = MODEL_MAGIC, name: str = "model") -> L
         raise ValueError(f"{name}: payload is {len(payload)} bytes, expected {expected}")
     weights = np.frombuffer(payload[: classes * dim * 8], dtype="<f8").reshape(classes, dim)
     bias = np.frombuffer(payload[classes * dim * 8 :], dtype="<f8")
-    return LinearModel(
-        weights=weights.astype(np.float64),
-        bias=bias.astype(np.float64),
-        hash_seed=int(seed),
-        version=int(version),
-    )
+    try:
+        return LinearModel(
+            weights=weights.astype(np.float64),
+            bias=bias.astype(np.float64),
+            hash_seed=int(seed),
+            version=int(version),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def save_model(model: LinearModel, path: str | Path, magic: bytes = MODEL_MAGIC) -> None:
@@ -566,22 +563,3 @@ def save_model(model: LinearModel, path: str | Path, magic: bytes = MODEL_MAGIC)
 def load_model(path: str | Path, magic: bytes = MODEL_MAGIC) -> LinearModel:
     with open(path, "rb") as handle:
         return read_container(handle, magic, name=str(path))
-
-
-class ActionScorer(ABC):
-    """Anything that can score the four actions for a (focus, segment) pair."""
-
-    @abstractmethod
-    def score_input(self, inp: ScoringInput) -> ActionScores:
-        ...
-
-
-class LinearScorer(ActionScorer):
-    def __init__(self, model: LinearModel):
-        if model.classes != 4:
-            raise ValueError("action scoring needs a 4-class model")
-        self.model = model
-        self.config = FeaturizerConfig(dim=model.dim)
-
-    def score_input(self, inp: ScoringInput) -> ActionScores:
-        return score(inp, self.model, self.config)

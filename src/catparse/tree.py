@@ -58,17 +58,6 @@ class Action(enum.IntEnum):
     def wire_name(self) -> str:
         return self.name.lower()
 
-    @classmethod
-    def from_wire(cls, name: str) -> "Action":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValueError(f"unknown action name: {name!r}") from None
-
-    @property
-    def consumes_segment(self) -> bool:
-        return self is not Action.REDUCE
-
 
 CONSUMING_ACTIONS = (Action.SUB_HEADING, Action.SUB_TEXT, Action.CONCAT)
 
@@ -101,10 +90,6 @@ class CatalogNode:
     children: list["CatalogNode"] = field(default_factory=list)
     source_segments: list[int] = field(default_factory=list)
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(eq=True)
 class CatalogTree:
@@ -113,16 +98,6 @@ class CatalogTree:
     @classmethod
     def empty(cls) -> "CatalogTree":
         return cls(root=CatalogNode(kind=NodeKind.ROOT))
-
-    def node_count(self) -> int:
-        """Number of nodes including the root."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            stack.extend(node.children)
-        return count
 
 
 class EvalTuple(NamedTuple):

@@ -27,6 +27,17 @@ def tree_of(*children: CatalogNode) -> CatalogTree:
     return tree
 
 
+def node_count(tree: CatalogTree) -> int:
+    """Number of nodes including the root."""
+    count = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        count += 1
+        stack.extend(node.children)
+    return count
+
+
 # A six-segment report fragment whose parse walks through every action:
 # two nested headings, a text split across two segments, two reduces back
 # up, then a sibling section.

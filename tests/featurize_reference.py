@@ -28,9 +28,8 @@ from catparse.scoring import (
     _SHORT_SEGMENT_SLOT,
     _SIBLING_OR_SHALLOWER_SLOT,
     _SKIPPED_DEPTH_SLOT,
-    DEFAULT_FEATURIZER,
+    DEFAULT_DIM,
     INDICATOR_SLOTS,
-    FeaturizerConfig,
     ScoringInput,
     _length_bucket,
     _numbering_hits,
@@ -60,7 +59,7 @@ def _hash_ngrams(
 def reference_featurize(
     inp: ScoringInput,
     hash_seed: int = 0,
-    config: FeaturizerConfig = DEFAULT_FEATURIZER,
+    dim: int = DEFAULT_DIM,
 ) -> tuple[np.ndarray, np.ndarray]:
     counts: dict[int, float] = {}
     counts[_KIND_SLOT[inp.focus_kind]] = 1.0
@@ -72,7 +71,7 @@ def reference_featurize(
     if len(segment) <= 20:
         counts[_SHORT_SEGMENT_SLOT] = 1.0
 
-    seg_hits, seg_depth = _numbering_hits(segment, config.patterns)
+    seg_hits, seg_depth = _numbering_hits(segment)
     for i in seg_hits:
         counts[_SEGMENT_PATTERN_BASE + i] = 1.0
     if seg_depth:
@@ -80,7 +79,7 @@ def reference_featurize(
     else:
         counts[_SEGMENT_UNNUMBERED_SLOT] = 1.0
     if focus:
-        focus_hits, focus_depth = _numbering_hits(focus, config.patterns)
+        focus_hits, focus_depth = _numbering_hits(focus)
         for i in focus_hits:
             counts[_FOCUS_PATTERN_BASE + i] = 1.0
         if focus_depth:
@@ -101,7 +100,7 @@ def reference_featurize(
         else:
             counts[_NEITHER_NUMBERED_SLOT] = 1.0
 
-    buckets = config.dim - INDICATOR_SLOTS
+    buckets = dim - INDICATOR_SLOTS
     _hash_ngrams(focus, b"s:", hash_seed, buckets, counts)
     _hash_ngrams(segment, b"q:", hash_seed, buckets, counts)
 

@@ -10,16 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
-from catparse import baselines, corpus, engine, methods, metrics, scoring
+from catparse import corpus, engine, methods, metrics, scoring
 from catparse.cli import main
-from catparse.scoring import (
-    FeaturizerConfig,
-    LinearModel,
-    LinearScorer,
-    ScoringInput,
-    featurize,
-    loss_and_grad,
-)
+from catparse.scoring import LinearModel, ScoringInput, featurize, loss_and_grad
 from catparse.tree import Action, NodeKind, Segment, flatten, iter_nodes, validate_tree
 
 from .conftest import (
@@ -31,6 +24,7 @@ from .conftest import (
     RandomScorer,
     ScriptedScorer,
     heading,
+    node_count,
     text,
     tree_of,
 )
@@ -54,7 +48,7 @@ def test_criterion_2_oracle_round_trip_property():
     assert len(trees) == 200
     checks = 0
     for i, tree in enumerate(trees):
-        assert tree.node_count() <= 500
+        assert node_count(tree) <= 500
         for p in (0.0, 0.5, 1.0):
             cfg = corpus.ChunkConfig(chunk_probability=p, seed=i)
             segments, gold = corpus.chunk_document(tree, cfg)
@@ -81,7 +75,7 @@ def test_criterion_3_constraint_soundness_under_adversaries():
         ConstantScorer(Action.REDUCE),
         ConstantScorer(Action.CONCAT),
         RandomScorer(seed=13),
-        NegatedScorer(LinearScorer(weak)),
+        NegatedScorer(weak),
     ]
     decoded = 0
     for scorer in adversaries:
@@ -134,7 +128,6 @@ def test_criterion_4_metric_identities():
 def test_criterion_5_gradient_check():
     started = time.perf_counter()
     dim = 1 << 14
-    cfg = FeaturizerConfig(dim=dim)
     rng = np.random.default_rng(321)
     kinds = list(NodeKind)
     texts = ["1.2 概述", "正文内容比较长的一句。", "短语", "第三章 分析", "2.1.3 小节", ""]
@@ -149,7 +142,7 @@ def test_criterion_5_gradient_check():
             segment_text=texts[(case + 2) % (len(texts) - 1)],
         )
         label = case % 4
-        indices, values = featurize(example, model.hash_seed, cfg)
+        indices, values = featurize(example, model.hash_seed, dim)
         _, cols, grad_w, grad_b = loss_and_grad(model, [(indices, values)], [label], np.ones(4))
         assert np.array_equal(cols, indices)
 
@@ -198,27 +191,22 @@ def test_criterion_6_end_to_end_learning():
     train_p, dev_p, test_p = corpus.split_corpus(pairs, seed=7)
     assert (len(train_p), len(dev_p), len(test_p)) == (160, 20, 20)
 
+    train = [(g.tree, s.segments) for g, s in train_p]
     dev = [(g.tree, s.segments) for g, s in dev_p]
+    config = scoring.TrainConfig(epochs=10, seed=7)
+    # every method's heads, the last one dev-selected
+    heads = {
+        method: methods.train_heads(method, train, dev, config, "", 8)[0]
+        for method in methods.METHODS
+    }
 
-    def test_f1(parse) -> float:
+    def test_f1(method, constrained=True) -> float:
+        parse = methods.parser_for(method, heads[method], constrained, "", 8)
         reports = [metrics.evaluate(g.tree, parse(s.segments)) for g, s in test_p]
         return metrics.aggregate(reports).overall.f1
 
-    config = scoring.TrainConfig(epochs=10, seed=7)
-
-    def parser(method, heads, constrained=True):
-        return methods.parser_for(method, heads, constrained, "", 8)
-
-    # transition scorer with dev-epoch selection
-    examples = []
-    for g, s in train_p:
-        examples.extend(engine.oracle_examples(g.tree, s.segments))
-    model, _ = methods.train_with_dev_selection(
-        examples, config, 4, dev,
-        lambda m: parser("transition", (LinearScorer(m),)),
-    )
-
-    # held-out action accuracy of the selected model
+    # held-out action accuracy of the selected transition model
+    (model,) = heads["transition"]
     correct = total = 0
     for g, s in dev_p:
         for inp, action in engine.oracle_examples(g.tree, s.segments):
@@ -227,32 +215,10 @@ def test_criterion_6_end_to_end_learning():
     accuracy = correct / total
     assert accuracy >= 0.95
 
-    scorer = LinearScorer(model)
-    f1_constrained = test_f1(parser("transition", (scorer,)))
-    f1_unconstrained = test_f1(parser("transition", (scorer,), constrained=False))
-
-    # pipeline baseline (merge head trained in full, level head dev-selected)
-    pair_ex, level_ex = [], []
-    for g, s in train_p:
-        p, l = baselines.pipeline_examples(g.tree, s.segments, 8)
-        pair_ex.extend(p)
-        level_ex.extend(l)
-    concat_model = scoring.train(pair_ex, config, classes=2)
-    level_model, _ = methods.train_with_dev_selection(
-        level_ex, config, 9, dev,
-        lambda m: parser("pipeline", (concat_model, m)),
-    )
-    f1_pipeline = test_f1(parser("pipeline", (concat_model, level_model)))
-
-    # tagging baseline, dev-selected
-    tag_ex = []
-    for g, s in train_p:
-        tag_ex.extend(baselines.tagging_examples(g.tree, s.segments, 8))
-    tag_model, _ = methods.train_with_dev_selection(
-        tag_ex, config, 18, dev,
-        lambda m: parser("tagging", (m,)),
-    )
-    f1_tagging = test_f1(parser("tagging", (tag_model,)))
+    f1_constrained = test_f1("transition")
+    f1_unconstrained = test_f1("transition", constrained=False)
+    f1_pipeline = test_f1("pipeline")
+    f1_tagging = test_f1("tagging")
 
     elapsed = time.perf_counter() - started
     assert f1_constrained >= 0.90

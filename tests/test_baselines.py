@@ -9,7 +9,6 @@ from catparse.baselines import (
     class_to_level,
     level_label_count,
     level_to_class,
-    oracle_units,
     pipeline_examples,
     pipeline_predict,
     rebuild_from_levels,
@@ -21,7 +20,7 @@ from catparse.baselines import (
 from catparse.corpus import ChunkConfig, GenConfig, chunk_document, generate_synthetic
 from catparse.engine import oracle_actions, replay_actions
 from catparse.scoring import LinearModel
-from catparse.tree import NodeKind, Segment, flatten, validate_tree
+from catparse.tree import NodeKind, Segment, flatten, iter_nodes, validate_tree
 
 from .conftest import WALKTHROUGH_SEGMENTS, heading, text, tree_of, walkthrough_tree
 
@@ -30,6 +29,7 @@ class ScriptedHead:
     """Stand-in for a trained head: emits a fixed class per call."""
 
     hash_seed = 0
+    dim = 1 << 10
 
     def __init__(self, classes: list[int], size: int):
         self.classes = list(classes)
@@ -45,6 +45,7 @@ class ScriptedHead:
 
 class ConstantHead:
     hash_seed = 0
+    dim = 1 << 10
 
     def __init__(self, cls: int, size: int):
         self.cls = cls
@@ -208,6 +209,19 @@ def test_example_builders_align_with_gold():
         tag_class(TEXT_LEVEL, True, 8),
         tag_class(2, False, 8),
         tag_class(TEXT_LEVEL, False, 8),
+    ]
+
+
+def oracle_units(gold, max_depth: int) -> list[Unit]:
+    """The units a perfect level classifier would produce for a gold tree;
+    heading levels deeper than ``max_depth`` clamp."""
+    return [
+        Unit(
+            level=TEXT_LEVEL if node.kind is NodeKind.TEXT else min(level, max_depth),
+            content=node.content,
+            segments=tuple(node.source_segments),
+        )
+        for node, level in iter_nodes(gold)
     ]
 
 

@@ -138,3 +138,13 @@ def test_child_that_never_reads_times_out_the_write():
 def test_unlaunchable_command_is_io_error():
     with pytest.raises(BridgeIO):
         ScorerBridge(["/no/such/binary"])
+
+
+@pytest.mark.parametrize("child", ["live", "exited"])
+def test_close_closes_both_pipes(child):
+    bridge = ScorerBridge(bridge_program(ECHO_FIXED if child == "live" else "pass"))
+    if child == "exited":
+        bridge._proc.wait()
+    bridge.close()
+    assert bridge._proc.stdin.closed and bridge._proc.stdout.closed
+    assert bridge._proc.returncode is not None

@@ -1,11 +1,16 @@
 import json
 import os
+import struct
 import sys
 
+import numpy as np
 import pytest
 
+from catparse.baselines import pipeline_predict
 from catparse.cli import main
 from catparse.jsonio import read_corpus, read_streams
+from catparse.scoring import LinearModel, save_model, write_container
+from catparse.tree import validate_tree
 
 TINY = ["--count", "12", "--depth", "2", "4", "--seed", "5"]
 FAST_TRAIN = ["--epochs", "2", "--batch-size", "20", "--seed", "5"]
@@ -220,7 +225,7 @@ def test_bridge_failure_exits_1(workspace, capsys, program):
     assert "Traceback" not in err
 
 
-def test_oracle_check_passes_and_fails(workspace, tmp_path):
+def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys):
     assert run(
         "oracle-check",
         "--corpus", workspace / "gold.jsonl",
@@ -245,6 +250,16 @@ def test_oracle_check_passes_and_fails(workspace, tmp_path):
         + "\n"
     )
     assert run("oracle-check", "--corpus", bad) == 1
+    # train needs the oracle for the transition method and for the dump
+    capsys.readouterr()
+    dump = ["--dump-actions", tmp_path / "a.jsonl"]
+    for extra in (["--method", "transition"], ["--method", "tagging", *dump]):
+        assert run(
+            "train", "--train", bad, "--dev", bad, "--model-out", tmp_path / "m.bin",
+            "--epochs", "1", *extra,
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "no transition sequence" in err[0]
 
 
 def test_oracle_check_without_streams_uses_trivial_segments(workspace):
@@ -381,3 +396,114 @@ def test_one_segment_documents_train_and_predict_every_method(tmp_path):
         ) == 0
         (doc,) = read_corpus(pred)
         assert [node.content for node in doc.tree.root.children] == ["1. Overview"]
+
+
+def test_dump_actions_is_written_for_every_method(workspace):
+    dumps = {}
+    for method in ("transition", "pipeline", "tagging"):
+        model = workspace / f"{method}.bin"
+        dump = workspace / f"{method}-actions.jsonl"
+        assert run(
+            "train", "--method", method,
+            "--train", workspace / "gold.jsonl",
+            "--train-segments", workspace / "segs.jsonl",
+            "--dev", workspace / "gold.jsonl",
+            "--dev-segments", workspace / "segs.jsonl",
+            "--model-out", model, "--dump-actions", dump,
+            "--epochs", "1", "--seed", "5",
+        ) == 0
+        manifest = json.loads((workspace / f"{method}.bin.manifest.json").read_text())
+        assert str(dump) in manifest["outputs"]
+        assert all(os.path.exists(path) for path in manifest["outputs"])
+        dumps[method] = dump.read_bytes()
+    assert dumps["transition"]
+    assert dumps["tagging"] == dumps["transition"] == dumps["pipeline"]
+
+
+def test_lone_surrogate_is_schema_error(tmp_path, capsys):
+    """A JSON ``\\ud800`` escape decodes to a string UTF-8 cannot encode."""
+    model = tmp_path / "m.bin"
+    save_model(LinearModel.create(dim=128), model)
+    segs = tmp_path / "segs.jsonl"
+    for line, field in [
+        ('{"id": "s", "segments": ["a\\ud800b", "1. x"]}', ".segments[0]"),
+        ('{"id": "s\\udfff", "segments": ["1. x"]}', ".id"),
+    ]:
+        segs.write_text(line + "\n")
+        assert run(
+            "predict", "--segments", segs, "--scorer", f"linear:{model}",
+            "--out", tmp_path / "pred.jsonl",
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "schema error" in err[0] and field in err[0]
+
+    gold = tmp_path / "gold.jsonl"
+    for content, source, field in [
+        ("a\ud800b", "x", ".children[0].content"),
+        ("a", "x\udbff", ".source"),
+    ]:
+        node = {"kind": "heading", "content": content, "segments": [0], "children": []}
+        root = {"kind": "root", "content": "", "segments": [], "children": [node]}
+        gold.write_text(json.dumps({"id": "g", "source": source, "root": root}) + "\n")
+        assert run(
+            "train", "--train", gold, "--dev", gold, "--model-out", tmp_path / "t.bin",
+            "--epochs", "1",
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "schema error" in err[0] and field in err[0]
+
+
+def small_container(magic: bytes, dim: int, classes: int) -> bytes:
+    """A model container of zero weights, written field by field so that
+    any dimension can be stored."""
+    header = struct.pack("<4sIQqI", magic, 1, dim, 0, classes)
+    return header + bytes(8 * (classes * dim + classes))
+
+
+@pytest.mark.parametrize(
+    "method,content,message",
+    [
+        ("transition", small_container(b"CTXM", 128, 3), "4-class"),
+        ("transition", small_container(b"CTXM", 64, 4), "indicator block"),
+        (
+            "pipeline",
+            small_container(b"CTXC", 128, 2) + small_container(b"CTXL", 64, 9),
+            "indicator block",
+        ),
+    ],
+    ids=["three-classes", "dim-64", "pipeline-dim-64"],
+)
+def test_invalid_model_file_exits_1(workspace, capsys, method, content, message):
+    model = workspace / "bad.bin"
+    model.write_bytes(content)
+    assert run(
+        "predict", "--method", method, "--segments", workspace / "segs.jsonl",
+        "--scorer", f"linear:{model}", "--out", workspace / "pred.jsonl",
+    ) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+
+
+def test_pipeline_heads_of_different_dimensions_predict(workspace):
+    rng = np.random.default_rng(4)
+    # the level head is the narrower one: hashing its inputs to the merge
+    # head's width would index past its weights
+    merge = LinearModel.create(dim=1 << 12, classes=2)
+    level = LinearModel.create(dim=1 << 8, classes=9)
+    for head in (merge, level):
+        head.weights[:] = rng.normal(size=head.weights.shape)
+    model = workspace / "mixed.bin"
+    with open(model, "wb") as handle:
+        write_container(handle, merge, b"CTXC")
+        write_container(handle, level, b"CTXL")
+    pred = workspace / "pred.jsonl"
+    assert run(
+        "predict", "--method", "pipeline", "--segments", workspace / "segs.jsonl",
+        "--scorer", f"linear:{model}", "--out", pred,
+    ) == 0
+    streams = read_streams(workspace / "segs.jsonl")
+    docs = read_corpus(pred)
+    assert len(docs) == len(streams) == 12
+    for stream, doc in zip(streams, docs):
+        validate_tree(doc.tree, stream.segments)
+        assert doc.tree == pipeline_predict(stream.segments, merge, level)

@@ -19,7 +19,7 @@ from catparse.engine import oracle_actions
 from catparse.jsonio import Document
 from catparse.tree import Action, NodeKind, flatten, join_content, validate_tree
 
-from .conftest import heading, text, tree_of, walkthrough_tree
+from .conftest import heading, node_count, text, tree_of, walkthrough_tree
 
 
 def one_node_doc(content: str, kind=NodeKind.TEXT):
@@ -169,7 +169,7 @@ class TestGenerator:
         for tree in generate_synthetic(
             GenConfig(doc_count=10, depth_range=(6, 6), children_range=(4, 5), seed=5)
         ):
-            assert tree.node_count() <= 450
+            assert node_count(tree) <= 450
 
     def test_corpus_wrapper_assigns_trivial_segments(self):
         docs = generate_corpus(GenConfig(doc_count=3, seed=1), source="unit")

@@ -155,7 +155,7 @@ class TestOracle:
             segments, gold = chunk_document(tree, ChunkConfig(chunk_probability=0.0, seed=1))
             actions = oracle_actions(gold)
             assert all(a is not Action.CONCAT for a, _ in actions)
-            consuming = [a for a, _ in actions if a.consumes_segment]
+            consuming = [a for a, _ in actions if a is not Action.REDUCE]
             assert len(consuming) == len(segments)
 
 

@@ -6,12 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catparse.scoring import (
-    DEFAULT_FEATURIZER,
     INDICATOR_SLOTS,
     MODEL_MAGIC,
     ActionScores,
     EmptyTrainingSet,
-    FeaturizerConfig,
     LinearModel,
     ScoringInput,
     TrainConfig,
@@ -66,8 +64,7 @@ class TestFeaturize:
         assert indicators.max() < INDICATOR_SLOTS <= grams.min()
 
     def test_dimension_respected(self):
-        cfg = FeaturizerConfig(dim=SMALL_DIM)
-        indices, _ = featurize(inp(), config=cfg)
+        indices, _ = featurize(inp(), dim=SMALL_DIM)
         assert indices.max() < SMALL_DIM
 
     def test_seed_changes_gram_buckets_not_indicators(self):
@@ -123,9 +120,8 @@ class TestHashKernel:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_loop(self, kind, focus, segment, seed, dim):
         example = ScoringInput(focus_kind=kind, focus_text=focus, segment_text=segment)
-        config = FeaturizerConfig(dim=dim)
-        indices, values = featurize(example, seed, config)
-        ref_indices, ref_values = reference_featurize(example, seed, config)
+        indices, values = featurize(example, seed, dim)
+        ref_indices, ref_values = reference_featurize(example, seed, dim)
         assert indices.dtype == ref_indices.dtype and values.dtype == ref_values.dtype
         assert np.array_equal(indices, ref_indices)
         assert np.array_equal(values, ref_values)
@@ -133,25 +129,37 @@ class TestHashKernel:
     def test_pinned_digest(self):
         digest = hashlib.sha256()
         for kind, focus, segment, seed, dim in PINNED_INPUTS:
-            indices, values = featurize(
-                ScoringInput(kind, focus, segment), seed, FeaturizerConfig(dim=dim)
-            )
+            indices, values = featurize(ScoringInput(kind, focus, segment), seed, dim)
             digest.update(indices.astype("<i8").tobytes())
             digest.update(values.astype("<f8").tobytes())
         assert digest.hexdigest() == PINNED_SHA256
 
 
 class TestScore:
+    def test_features_have_the_model_dimension(self):
+        rng = np.random.default_rng(5)
+        model = LinearModel.create(dim=SMALL_DIM, hash_seed=3)
+        model.weights[:] = rng.normal(size=model.weights.shape)
+        example = inp(NodeKind.HEADING, "2.1 概述", "2.1.1 细节")
+        expected = model.logits_for(*featurize(example, 3, SMALL_DIM))
+        assert score(example, model).logits == tuple(expected)
+        assert model.score_input(example) == score(example, model)
+
+    def test_dimension_must_exceed_indicator_block(self):
+        with pytest.raises(ValueError, match="indicator block"):
+            LinearModel.create(dim=INDICATOR_SLOTS)
+        assert LinearModel.create(dim=INDICATOR_SLOTS + 1).dim == INDICATOR_SLOTS + 1
+
     def test_zero_model_is_uniform(self):
         model = LinearModel.create(dim=SMALL_DIM)
-        result = score(inp(), model, FeaturizerConfig(dim=SMALL_DIM))
+        result = score(inp(), model)
         assert result.probabilities == pytest.approx((0.25, 0.25, 0.25, 0.25))
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
         model = LinearModel.create(dim=SMALL_DIM)
         model.weights[:] = rng.normal(size=model.weights.shape) * 0.1
-        result = score(inp(), model, FeaturizerConfig(dim=SMALL_DIM))
+        result = score(inp(), model)
         assert abs(sum(result.probabilities) - 1.0) < 1e-9
 
     @given(st.lists(st.floats(-30, 30), min_size=4, max_size=4), st.floats(-50, 50))
@@ -196,15 +204,14 @@ class TestTrain:
         examples = separable_examples()
         model = train(examples, TrainConfig(epochs=10, seed=0), dim=SMALL_DIM)
         for example, label in examples:
-            assert score(example, model, FeaturizerConfig(dim=SMALL_DIM)).best == int(label)
+            assert score(example, model).best == int(label)
 
     def test_loss_decreases(self):
         examples = separable_examples() * 4
-        cfg = FeaturizerConfig(dim=SMALL_DIM)
         labels = [int(label) for _, label in examples]
 
         def mean_loss(model):
-            feats = [featurize(example, model.hash_seed, cfg) for example, _ in examples]
+            feats = [featurize(example, model.hash_seed, SMALL_DIM) for example, _ in examples]
             return loss_and_grad(model, feats, labels, np.ones(4))[0]
 
         before = mean_loss(LinearModel.create(dim=SMALL_DIM))
@@ -252,7 +259,6 @@ class TestTrain:
 class TestGradient:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(1234)
-        cfg = FeaturizerConfig(dim=SMALL_DIM)
         kinds = list(NodeKind)
         texts = ["1.2 概述", "正文内容较长一些。", "短语", "第三章 分析", ""]
         checked = 0
@@ -266,7 +272,7 @@ class TestGradient:
                 segment_text=texts[(case + 1) % (len(texts) - 1)],
             )
             label = case % 4
-            indices, values = featurize(example, model.hash_seed, cfg)
+            indices, values = featurize(example, model.hash_seed, SMALL_DIM)
             _, cols, grad_w, _ = loss_and_grad(model, [(indices, values)], [label], np.ones(4))
             assert np.array_equal(cols, indices)
 
@@ -295,7 +301,6 @@ class TestGradient:
         """Class-weighted examples that share feature columns: covers the
         scatter-add, the per-class weights and the 1/len(batch) scale."""
         rng = np.random.default_rng(99)
-        cfg = FeaturizerConfig(dim=SMALL_DIM)
         model = LinearModel.create(dim=SMALL_DIM)
         model.weights[:] = rng.normal(size=model.weights.shape) * 0.5
         model.bias[:] = rng.normal(size=4) * 0.5
@@ -306,7 +311,7 @@ class TestGradient:
             (inp(NodeKind.TEXT, "正文内容。", "2. 概述"), 3),
             (inp(NodeKind.HEADING, "2. 概述", "正文内容。"), 1),
         ]
-        feats = [featurize(example, model.hash_seed, cfg) for example, _ in batch]
+        feats = [featurize(example, model.hash_seed, SMALL_DIM) for example, _ in batch]
         labels = np.array([label for _, label in batch])
         weights = inverse_frequency_weights(labels, 4)
         assert weights[1] != weights[0]

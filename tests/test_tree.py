@@ -17,7 +17,7 @@ from catparse.tree import (
     validate_tree,
 )
 
-from .conftest import WALKTHROUGH_TUPLES, heading, text, tree_of, walkthrough_tree
+from .conftest import WALKTHROUGH_TUPLES, heading, node_count, text, tree_of, walkthrough_tree
 
 
 def test_segment_rejects_empty_and_linebreaks():
@@ -31,9 +31,8 @@ def test_segment_rejects_empty_and_linebreaks():
 
 def test_action_wire_names_round_trip():
     for action in Action:
-        assert Action.from_wire(action.wire_name) is action
-    with pytest.raises(ValueError):
-        Action.from_wire("noop")
+        assert Action[action.wire_name.upper()] is action
+    assert [a.wire_name for a in Action] == ["sub_heading", "sub_text", "concat", "reduce"]
 
 
 class TestApplyAction:
@@ -159,7 +158,7 @@ class TestFlatten:
 
     def test_length_is_node_count_minus_one(self):
         t = walkthrough_tree()
-        assert len(flatten(t)) == t.node_count() - 1
+        assert len(flatten(t)) == node_count(t) - 1
 
 
 def test_tree_depth_counts_root():
