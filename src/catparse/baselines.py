@@ -8,8 +8,9 @@ Both predict node depth directly instead of structural relations:
   the same level labels, greedy decoding with legality repair.
 
 Level labels are plain ints: ``k >= 1`` is a heading at level k, ``0`` is
-text. Both formulations top out at a fixed ``max_depth`` (deeper gold
-trees cannot be reproduced), and both rebuild the tree with the same
+text. Both formulations top out at a fixed ``max_depth``, set at training
+time and recorded in a head's class count (deeper gold trees cannot be
+reproduced), and both rebuild the tree with the same
 stack rule: a heading pops everything at its level or deeper, text
 attaches to the current top.
 """
@@ -198,12 +199,13 @@ def pipeline_predict(
     segments: Sequence[Segment],
     concat_model: LinearModel,
     level_model: LinearModel,
-    max_depth: int = DEFAULT_MAX_DEPTH,
     joiner: str = "",
 ) -> CatalogTree:
-    """Merge-then-classify prediction."""
+    """Merge-then-classify prediction; the level head's class count fixes
+    the label budget."""
     if not segments:
         return CatalogTree.empty()
+    max_depth = level_model.classes - 1
     merge_after = [False] * len(segments)
     for i in range(1, len(segments)):
         pair = _pair_input(segments[i - 1], segments[i])
@@ -224,16 +226,17 @@ def pipeline_predict(
 def tagging_predict(
     segments: Sequence[Segment],
     tag_model: LinearModel,
-    max_depth: int = DEFAULT_MAX_DEPTH,
     joiner: str = "",
 ) -> CatalogTree:
     """Greedy begin/inside tagging with legality repair.
 
     An inside tag whose level disagrees with the open span (or that
-    opens the document) is coerced to a begin tag of its own level.
+    opens the document) is coerced to a begin tag of its own level. The
+    head's class count fixes the label budget.
     """
     if not segments:
         return CatalogTree.empty()
+    max_depth = tag_model.classes // 2 - 1
     units: list[Unit] = []
     open_level: int | None = None
     for i, segment in enumerate(segments):

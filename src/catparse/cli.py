@@ -3,9 +3,10 @@
 Subcommands: generate, chunk, train, predict, evaluate, oracle-check,
 stats. All of them read and write the JSON-lines formats described in
 ``jsonio`` and drop a run manifest next to their outputs. Exit codes:
-0 success, 1 I/O, scorer bridge or check failure, 2 schema violation, a
-training tree no transition sequence rebuilds, or an empty dev or gold
-corpus, 3 training failure.
+0 success, 1 I/O, scorer bridge, model file, option or check failure, 2
+schema violation (a stream that does not match its gold tree, too deep
+a tree), a training tree no transition sequence rebuilds, or an empty
+dev or gold corpus, 3 training failure.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from . import baselines, corpus, engine, jsonio, methods, metrics, scoring
 from .bridge import BridgeIO, BridgeProtocol, BridgeScorer, ScorerBridge
 from .manifest import manifest_path_for, write_manifest
 from .scoring import EmptyTrainingSet
-from .tree import Segment
+from .tree import MAX_DEPTH, Segment, iter_nodes
 
 log = logging.getLogger("catparse")
 
@@ -98,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--method", choices=methods.METHODS, default="transition")
     p.add_argument("--unconstrained", action="store_true")
-    p.add_argument("--max-depth", type=int, default=baselines.DEFAULT_MAX_DEPTH)
     p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_joiner(p)
     p.set_defaults(func=cmd_predict)
@@ -188,7 +188,8 @@ def _load_gold_with_segments(
     """Pair gold documents with their segment streams.
 
     Without a stream file every node must carry a trivial one-segment
-    assignment; chunked corpora need the stream written at chunk time.
+    assignment; chunked corpora need the stream written at chunk time,
+    as long as the number of segments its tree owns.
     """
     docs = jsonio.read_corpus(corpus_path)
     if segments_path is None:
@@ -200,6 +201,13 @@ def _load_gold_with_segments(
         if stream is None:
             raise jsonio.SchemaError(
                 segments_path, f"no segment stream for document {doc.doc_id!r}"
+            )
+        owned = sum(len(node.source_segments) for node, _ in iter_nodes(doc.tree))
+        if len(stream.segments) != owned:
+            raise jsonio.SchemaError(
+                segments_path,
+                f"document {doc.doc_id!r} has {len(stream.segments)} segments, "
+                f"its gold tree owns {owned}",
             )
         paired.append((doc, stream.segments))
     return paired
@@ -216,6 +224,9 @@ def _subsample(items: list, count: int | None, seed: int) -> list:
 
 def cmd_train(args) -> int:
     started = time.time()
+    if not 1 <= args.max_depth < MAX_DEPTH:
+        # a text leaf sits one level under the deepest heading label
+        raise ValueError(f"--max-depth must lie in 1..{MAX_DEPTH - 1}, got {args.max_depth}")
     joiner = JOINERS[args.joiner]
     train_pairs = _load_gold_with_segments(args.train, args.train_segments, joiner)
     dev_pairs = _load_gold_with_segments(args.dev, args.dev_segments, joiner)
@@ -294,10 +305,8 @@ def _write_action_dump(path: str, train_pairs, joiner: str) -> None:
 _worker: dict = {}
 
 
-def _init_worker(scorer_spec: str, method: str, constrained: bool, joiner: str, max_depth: int) -> None:
-    _worker["parse"] = _build_predictor(
-        scorer_spec, method, constrained, joiner, max_depth, ExitStack()
-    )
+def _init_worker(scorer_spec: str, method: str, constrained: bool, joiner: str) -> None:
+    _worker["parse"] = _build_predictor(scorer_spec, method, constrained, joiner, ExitStack())
 
 
 def _parse_scorer_spec(spec: str) -> tuple[str, str]:
@@ -309,7 +318,7 @@ def _parse_scorer_spec(spec: str) -> tuple[str, str]:
     return kind, rest
 
 
-def _build_predictor(scorer_spec, method, constrained, joiner, max_depth, resources: ExitStack):
+def _build_predictor(scorer_spec, method, constrained, joiner, resources: ExitStack):
     """Load the heads ``scorer_spec`` names and return their parser; a bridge
     child is registered with ``resources``, which closes it."""
     kind, rest = _parse_scorer_spec(scorer_spec)
@@ -319,7 +328,7 @@ def _build_predictor(scorer_spec, method, constrained, joiner, max_depth, resour
         heads = (BridgeScorer(resources.enter_context(ScorerBridge(rest))),)
     else:
         heads = methods.load_heads(rest, method)
-    return methods.parser_for(method, heads, constrained, joiner, max_depth)
+    return methods.parser_for(method, heads, constrained, joiner)
 
 
 def _parse_one(segments: list[Segment]):
@@ -335,14 +344,12 @@ def cmd_predict(args) -> int:
         with ProcessPoolExecutor(
             max_workers=args.jobs,
             initializer=_init_worker,
-            initargs=(args.scorer, args.method, constrained, joiner, args.max_depth),
+            initargs=(args.scorer, args.method, constrained, joiner),
         ) as pool:
             trees = list(pool.map(_parse_one, [s.segments for s in streams]))
     else:
         with ExitStack() as resources:
-            parse = _build_predictor(
-                args.scorer, args.method, constrained, joiner, args.max_depth, resources
-            )
+            parse = _build_predictor(args.scorer, args.method, constrained, joiner, resources)
             trees = [parse(s.segments) for s in streams]
     docs = [
         jsonio.Document(doc_id=stream.doc_id, source="", tree=tree)

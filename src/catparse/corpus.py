@@ -18,6 +18,7 @@ import numpy as np
 
 from .jsonio import Document, SegmentStream
 from .tree import (
+    MAX_DEPTH,
     CatalogNode,
     CatalogTree,
     NodeKind,
@@ -184,8 +185,9 @@ class GenConfig:
     max_nodes: int = 450
 
     def __post_init__(self) -> None:
-        if self.depth_range[0] < 2 or self.depth_range[0] > self.depth_range[1]:
-            raise ValueError("depth range must satisfy 2 <= lo <= hi")
+        # depth counts the pseudo root, so nodes sit at levels 1..hi-1
+        if not 2 <= self.depth_range[0] <= self.depth_range[1] <= MAX_DEPTH + 1:
+            raise ValueError(f"depth range must satisfy 2 <= lo <= hi <= {MAX_DEPTH + 1}")
         if self.doc_count < 0:
             raise ValueError("doc count must be >= 0")
         if not 0.0 <= self.numbered_fraction <= 1.0:

@@ -1,15 +1,16 @@
 """Decoding and the gold-action oracle.
 
 ``decode`` runs a scorer over the input queue, forcing predictions into
-the legal action set (or, for the ablation, taking the raw argmax and only
-repairing structurally impossible choices). ``oracle_actions`` inverts a
-gold tree into the action sequence that rebuilds it, which is what the
-trainer learns from.
+the legal action set (which the ablation loosens). ``oracle_actions``
+inverts a gold tree into the action sequence that rebuilds it, which is
+what the trainer learns from. Decoding, replay and the training examples
+all step through ``_run``, the one transition loop, each with its own
+way of choosing the next action.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .scoring import ActionScorer, ScoringInput
 from .tree import (
@@ -29,7 +30,8 @@ class OracleError(Exception):
 
 
 class DecodeStep(NamedTuple):
-    focus_id: int
+    # Index of the segment that opened the focus node; None at the root.
+    focus_segment: int | None
     segment_index: int | None
     action: Action
     scores: tuple[float, float, float, float]
@@ -41,18 +43,38 @@ class DecodeTrace:
     steps: list[DecodeStep]
 
 
+def _run(
+    segments: Sequence[Segment],
+    choose: Callable[[TransitionState, Segment, frozenset[Action]], Action],
+    joiner: str,
+    constrained: bool,
+) -> CatalogTree:
+    """The transition loop that decoding, replay and the oracle share.
+
+    At every step ``choose(state, incoming segment, legal actions)``
+    names the action to apply, until the queue empties: REDUCE consumes
+    nothing, every other action consumes the incoming segment. Trailing
+    reduces would not change the tree, so none are taken.
+    """
+    state = TransitionState.initial(joiner=joiner)
+    position = 0
+    while position < len(segments):
+        segment = segments[position]
+        action = choose(state, segment, legal_actions(state, constrained))
+        apply_action(state, action, segment, constrained=constrained)
+        if action is not Action.REDUCE:
+            position += 1
+    return state.tree
+
+
 def _best_of(scores: Sequence[float], candidates: frozenset[Action]) -> Action:
     """Highest-scoring candidate; exact ties break by declaration order."""
-    best = None
-    best_score = None
-    for action in Action:
-        if action not in candidates:
-            continue
-        value = scores[action]
-        if best_score is None or value > best_score:
-            best, best_score = action, value
-    assert best is not None
-    return best
+    return max((a for a in Action if a in candidates), key=lambda a: scores[a])
+
+
+def _input(focus: CatalogNode, segment: Segment) -> ScoringInput:
+    """What a scorer sees at a step, in decoding and in training alike."""
+    return ScoringInput(focus.kind, focus.content, segment.text)
 
 
 def decode(
@@ -63,51 +85,26 @@ def decode(
 ) -> tuple[CatalogTree, DecodeTrace]:
     """Parse a segment stream into a catalog tree.
 
-    Each iteration scores the (focus, next segment) pair and applies one
-    action. Constrained decoding picks the best action in the legal set.
-    Unconstrained decoding (the ablation) applies the raw argmax, even
-    when that attaches children to a text node, and substitutes the best
-    legal action only when the argmax cannot be applied at all (REDUCE or
-    CONCAT at the root). Either way every iteration consumes a segment or
-    strictly shrinks the focus depth, so decoding always terminates, and
-    it stops as soon as the queue empties: trailing reduces would not
-    change the tree.
+    Each step scores the (focus, next segment) pair and applies the
+    scorer's argmax when it is legal, else the best legal action (a
+    forced step). Unconstrained decoding (the ablation) drops the
+    text-leaf and concat-after-children rules from the legal set, so it
+    may attach children to a text node. Every step consumes a segment or
+    strictly shrinks the focus depth, so decoding always terminates.
     """
-    state = TransitionState.initial(joiner=joiner)
     steps: list[DecodeStep] = []
-    position = 0
-    while position < len(segments):
-        segment = segments[position]
+
+    def choose(state: TransitionState, segment: Segment, legal: frozenset[Action]) -> Action:
         focus = state.focus
-        result = scorer.score_input(
-            ScoringInput(
-                focus_kind=focus.kind,
-                focus_text=focus.content,
-                segment_text=segment.text,
-            )
-        )
-        scores = result.probabilities
-        legal = legal_actions(state, queue_empty=False)
+        result = scorer.score_input(_input(focus, segment))
         raw = Action(result.best)
-        if constrained:
-            chosen = raw if raw in legal else _best_of(scores, legal)
-            forced = raw not in legal
-        else:
-            impossible = focus.kind is NodeKind.ROOT and raw in (
-                Action.CONCAT,
-                Action.REDUCE,
-            )
-            chosen = _best_of(scores, legal) if impossible else raw
-            forced = impossible
-        focus_id = state.node_id(focus)
-        if chosen is Action.REDUCE:
-            apply_action(state, chosen)
-            steps.append(DecodeStep(focus_id, None, chosen, scores, forced))
-        else:
-            apply_action(state, chosen, segment, enforce_constraints=constrained)
-            steps.append(DecodeStep(focus_id, segment.index, chosen, scores, forced))
-            position += 1
-    return state.tree, DecodeTrace(steps=steps)
+        chosen = raw if raw in legal else _best_of(result.probabilities, legal)
+        opener = focus.source_segments[0] if focus.source_segments else None
+        index = None if chosen is Action.REDUCE else segment.index
+        steps.append(DecodeStep(opener, index, chosen, result.probabilities, raw not in legal))
+        return chosen
+
+    return _run(segments, choose, joiner, constrained), DecodeTrace(steps=steps)
 
 
 def _index_gold(gold: CatalogTree):
@@ -186,21 +183,38 @@ def oracle_actions(gold: CatalogTree) -> list[tuple[Action, int | None]]:
     return actions
 
 
+def _replay(
+    actions: Iterable[tuple[Action, int | None]], segments: Sequence[Segment], joiner: str
+) -> tuple[CatalogTree, list[tuple[ScoringInput, Action]]]:
+    """Apply recorded actions to the stream, which must end with them.
+
+    Returns the tree and each step's scoring input with its action.
+    """
+    pending = iter(actions)
+    examples: list[tuple[ScoringInput, Action]] = []
+
+    def choose(state: TransitionState, segment: Segment, legal: frozenset[Action]) -> Action:
+        action, index = next(pending, (None, None))
+        if action is None:
+            raise OracleError(f"the actions end before segment {segment.index}")
+        if action is not Action.REDUCE and index != segment.index:
+            raise OracleError(f"{action.name} names segment {index} at segment {segment.index}")
+        examples.append((_input(state.focus, segment), action))
+        return action
+
+    tree = _run(segments, choose, joiner, constrained=True)
+    if next(pending, None) is not None:
+        raise OracleError(f"actions remain after the last of {len(segments)} segments")
+    return tree, examples
+
+
 def replay_actions(
     actions: Sequence[tuple[Action, int | None]],
     segments: Sequence[Segment],
     joiner: str = "",
 ) -> CatalogTree:
     """Rebuild a tree by applying a recorded action sequence."""
-    state = TransitionState.initial(joiner=joiner)
-    for action, index in actions:
-        if action is Action.REDUCE:
-            apply_action(state, action)
-        else:
-            if index is None:
-                raise ValueError(f"{action.name} step without a segment index")
-            apply_action(state, action, segments[index])
-    return state.tree
+    return _replay(actions, segments, joiner)[0]
 
 
 def oracle_examples(
@@ -214,25 +228,4 @@ def oracle_examples(
     that step, not the finished node, so training matches what decoding
     will actually observe.
     """
-    examples: list[tuple[ScoringInput, Action]] = []
-    state = TransitionState.initial(joiner=joiner)
-    position = 0
-    for action, index in oracle_actions(gold):
-        if position < len(segments):
-            focus = state.focus
-            examples.append(
-                (
-                    ScoringInput(
-                        focus_kind=focus.kind,
-                        focus_text=focus.content,
-                        segment_text=segments[position].text,
-                    ),
-                    action,
-                )
-            )
-        if action is Action.REDUCE:
-            apply_action(state, action)
-        else:
-            apply_action(state, action, segments[index])
-            position += 1
-    return examples
+    return _replay(oracle_actions(gold), segments, joiner)[1]

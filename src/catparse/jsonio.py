@@ -11,8 +11,9 @@ Three line-oriented formats are used throughout:
   ``{"doc_id", "step", "s_kind", "s_content", "q_content", "gold_action"}``
 
 All files are UTF-8. Parsing validates the schema and reports the path of
-the offending field; strings UTF-8 cannot encode (lone surrogates) are
-schema errors.
+the offending field; strings UTF-8 cannot encode (lone surrogates), trees
+deeper than ``MAX_DEPTH`` and JSON nested past the parser's recursion
+limit are schema errors.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable
 
-from .tree import CatalogNode, CatalogTree, NodeKind, Segment
+from .tree import MAX_DEPTH, CatalogNode, CatalogTree, NodeKind, Segment
 
 
 class SchemaError(Exception):
@@ -72,13 +73,16 @@ def parse_tree(obj: Any, path: str = "$") -> CatalogTree:
     """Parse a NODE object into a tree, validating the schema.
 
     Structural rules are enforced here as well: the top node must be the
-    root, roots may not nest, and text nodes may not have children.
+    root, roots may not nest, text nodes may not have children, and no
+    node sits deeper than ``MAX_DEPTH``.
     """
-    root = _parse_node(obj, path, top=True)
+    root = _parse_node(obj, path, depth=0)
     return CatalogTree(root=root)
 
 
-def _parse_node(obj: Any, path: str, top: bool) -> CatalogNode:
+def _parse_node(obj: Any, path: str, depth: int) -> CatalogNode:
+    if depth > MAX_DEPTH:
+        raise SchemaError(path, f"node nested deeper than {MAX_DEPTH} levels")
     if not isinstance(obj, dict):
         raise SchemaError(path, f"expected an object, got {type(obj).__name__}")
     if "kind" not in obj:
@@ -90,9 +94,9 @@ def _parse_node(obj: Any, path: str, top: bool) -> CatalogNode:
         kind = NodeKind(kind_name)
     except ValueError:
         raise SchemaError(f"{path}.kind", f"unknown kind {kind_name!r}") from None
-    if top and kind is not NodeKind.ROOT:
+    if depth == 0 and kind is not NodeKind.ROOT:
         raise SchemaError(f"{path}.kind", "top-level node must be the root")
-    if not top and kind is NodeKind.ROOT:
+    if depth > 0 and kind is NodeKind.ROOT:
         raise SchemaError(f"{path}.kind", "root may only appear at the top")
 
     content = obj.get("content", "")
@@ -113,7 +117,7 @@ def _parse_node(obj: Any, path: str, top: bool) -> CatalogNode:
         raise SchemaError(f"{path}.content", "root content must be empty")
 
     children = [
-        _parse_node(child, f"{path}.children[{i}]", top=False)
+        _parse_node(child, f"{path}.children[{i}]", depth + 1)
         for i, child in enumerate(children_obj)
     ]
     return CatalogNode(
@@ -197,6 +201,8 @@ def _read_jsonl(path: str | Path) -> Iterable[tuple[int, Any]]:
                 yield lineno, json.loads(line)
             except json.JSONDecodeError as exc:
                 raise SchemaError(f"{path}:{lineno}", f"invalid JSON: {exc}") from None
+            except RecursionError:
+                raise SchemaError(f"{path}:{lineno}", "JSON nested too deeply") from None
 
 
 def read_corpus(path: str | Path) -> list[Document]:

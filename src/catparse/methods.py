@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import baselines, engine, metrics, scoring
-from .tree import CatalogTree, Segment
+from .tree import MAX_DEPTH, CatalogTree, Segment
 
 log = logging.getLogger("catparse")
 
@@ -31,30 +31,19 @@ Parser = Callable[[Sequence[Segment]], CatalogTree]
 GoldPairs = Sequence[tuple[CatalogTree, Sequence[Segment]]]
 
 
-def parser_for(
-    method: str,
-    heads: tuple,
-    constrained: bool,
-    joiner: str,
-    max_depth: int,
-) -> Parser:
+def parser_for(method: str, heads: tuple, constrained: bool, joiner: str) -> Parser:
     """Parse with ``heads``; a transition head may be any ``ActionScorer``
-    (a bridge, for instance), the baseline heads are ``LinearModel``s."""
+    (a bridge, for instance), the baseline heads are ``LinearModel``s.
+    ``constrained`` affects only the transition method."""
     if method == "transition":
         (scorer,) = heads
-        return lambda segments: engine.decode(
-            segments, scorer, constrained=constrained, joiner=joiner
-        )[0]
+        return lambda segments: engine.decode(segments, scorer, constrained, joiner)[0]
     if method == "pipeline":
-        concat_model, level_model = heads
-        return lambda segments: baselines.pipeline_predict(
-            segments, concat_model, level_model, max_depth, joiner
-        )
+        merge, level = heads
+        return lambda segments: baselines.pipeline_predict(segments, merge, level, joiner)
     if method == "tagging":
-        (tag_model,) = heads
-        return lambda segments: baselines.tagging_predict(
-            segments, tag_model, max_depth, joiner
-        )
+        (tags,) = heads
+        return lambda segments: baselines.tagging_predict(segments, tags, joiner)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -128,7 +117,7 @@ def train_heads(
     log.info("%s: training on %d examples from %d documents", method, len(examples), len(train))
     model, history = train_with_dev_selection(
         examples, config, classes, dev,
-        lambda m: parser_for(method, fixed + (m,), True, joiner, max_depth),
+        lambda m: parser_for(method, fixed + (m,), True, joiner),
     )
     return fixed + (model,), history
 
@@ -140,12 +129,23 @@ def save_heads(path: str | Path, method: str, heads: Sequence[scoring.LinearMode
 
 
 def load_heads(path: str | Path, method: str) -> tuple[scoring.LinearModel, ...]:
-    """Read the heads of ``method`` from a model file; a transition head
-    must have one class per action."""
+    """Read the heads of ``method`` from a model file.
+
+    A transition head must have one class per action, a merge head two.
+    The class counts of the level and tagging heads record the label
+    budget they were trained with, ``max_depth`` in 1..MAX_DEPTH-1.
+    """
     with open(path, "rb") as handle:
         heads = tuple(
             scoring.read_container(handle, magic, str(path)) for magic in HEAD_MAGICS[method]
         )
-    if method == "transition" and heads[0].classes != 4:
-        raise ValueError(f"{path}: action scoring needs a 4-class model, got {heads[0].classes}")
+    k = [head.classes for head in heads]
+    if method == "transition" and k != [4]:
+        raise ValueError(f"{path}: action scoring needs a 4-class model, got {k[0]}")
+    if method == "pipeline" and (k[0] != 2 or not 2 <= k[1] <= MAX_DEPTH):
+        raise ValueError(f"{path}: pipeline heads need 2 and 2..{MAX_DEPTH} classes, got {k}")
+    if method == "tagging" and (k[0] % 2 or not 4 <= k[0] <= 2 * MAX_DEPTH):
+        raise ValueError(
+            f"{path}: a tagging head needs an even class count in 4..{2 * MAX_DEPTH}, got {k[0]}"
+        )
     return heads

@@ -18,6 +18,7 @@ rather than the full dimension.
 """
 from __future__ import annotations
 
+import os
 import re
 import struct
 import zlib
@@ -538,10 +539,11 @@ def read_container(handle, magic: bytes = MODEL_MAGIC, name: str = "model") -> L
     found, version, dim, seed, classes = _HEADER.unpack(header)
     if found != magic:
         raise ValueError(f"{name}: expected magic {magic!r}, found {found!r}")
-    payload = handle.read((classes * dim + classes) * 8)
     expected = (classes * dim + classes) * 8
-    if len(payload) != expected:
-        raise ValueError(f"{name}: payload is {len(payload)} bytes, expected {expected}")
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    if expected > left:
+        raise ValueError(f"{name}: header claims a {expected}-byte payload, {left} bytes left")
+    payload = handle.read(expected)
     weights = np.frombuffer(payload[: classes * dim * 8], dtype="<f8").reshape(classes, dim)
     bias = np.frombuffer(payload[classes * dim * 8 :], dtype="<f8")
     try:

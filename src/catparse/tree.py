@@ -23,6 +23,12 @@ from typing import NamedTuple
 
 TERMINAL_PUNCTUATION = "。！？.!?;；"
 
+# The deepest level a node may sit at; the root's children are level 1.
+# Decoding attaches no child at this depth, ``jsonio`` rejects deeper
+# trees at read, and the corpus generator and the baselines' label budget
+# stay within it, so the recursive tree walkers never go deeper.
+MAX_DEPTH = 100
+
 
 class CatalogError(Exception):
     """Base class for catalog tree errors."""
@@ -57,9 +63,6 @@ class Action(enum.IntEnum):
     @property
     def wire_name(self) -> str:
         return self.name.lower()
-
-
-CONSUMING_ACTIONS = (Action.SUB_HEADING, Action.SUB_TEXT, Action.CONCAT)
 
 
 @dataclass(frozen=True)
@@ -131,17 +134,12 @@ class TransitionState:
 
     tree: CatalogTree
     stack: list[CatalogNode]
-    consumed: int = 0
     joiner: str = ""
-    _node_ids: dict[int, int] = field(default_factory=dict)
-    _next_id: int = 1
 
     @classmethod
     def initial(cls, joiner: str = "") -> "TransitionState":
         tree = CatalogTree.empty()
-        state = cls(tree=tree, stack=[tree.root], joiner=joiner)
-        state._node_ids[id(tree.root)] = 0
-        return state
+        return cls(tree=tree, stack=[tree.root], joiner=joiner)
 
     @property
     def focus(self) -> CatalogNode:
@@ -152,40 +150,37 @@ class TransitionState:
         """Depth of the focus node; the root sits at depth 0."""
         return len(self.stack) - 1
 
-    def node_id(self, node: CatalogNode) -> int:
-        """Creation ordinal of a node in this state (root is 0)."""
-        return self._node_ids[id(node)]
 
-    def _register(self, node: CatalogNode) -> None:
-        self._node_ids[id(node)] = self._next_id
-        self._next_id += 1
+_ATTACH = frozenset((Action.SUB_HEADING, Action.SUB_TEXT))
+_LEAF = frozenset((Action.CONCAT, Action.REDUCE))
+_PARENT = frozenset((Action.SUB_HEADING, Action.SUB_TEXT, Action.REDUCE))
+_ANY = frozenset(Action)
 
 
-def legal_actions(state: TransitionState, queue_empty: bool) -> frozenset[Action]:
-    """The set of actions allowed at the current focus.
+def legal_actions(state: TransitionState, constrained: bool) -> frozenset[Action]:
+    """The actions that may apply at the current focus while segments remain.
 
-    Three constraints shape the set: only child-attaching actions are
-    possible at the root (it has no parent and carries no content); text
-    nodes stay leaves, so only CONCAT and REDUCE apply there; and CONCAT
-    only extends a node that has no children yet, since a node's pieces
-    are contiguous in the document and appending after a subtree would
-    break the mapping back to document order. An empty set (root focus,
-    empty queue) means decoding is finished.
+    In both modes the root admits only child attachments (it has no
+    parent and carries no content), and no child attaches at depth
+    ``MAX_DEPTH``. Constrained decoding adds two rules: text nodes stay
+    leaves, so only CONCAT and REDUCE apply there; and CONCAT only
+    extends a node that has no children yet, since a node's pieces are
+    contiguous in the document and appending after a subtree would break
+    the mapping back to document order. REDUCE is legal at every other
+    focus, so the set is never empty.
     """
     focus = state.focus
     if focus.kind is NodeKind.ROOT:
-        if queue_empty:
-            return frozenset()
-        return frozenset((Action.SUB_HEADING, Action.SUB_TEXT))
-    if focus.kind is NodeKind.TEXT:
-        if queue_empty:
-            return frozenset((Action.REDUCE,))
-        return frozenset((Action.CONCAT, Action.REDUCE))
-    if queue_empty:
-        return frozenset((Action.REDUCE,))
-    if focus.children:
-        return frozenset((Action.SUB_HEADING, Action.SUB_TEXT, Action.REDUCE))
-    return frozenset(Action)
+        return _ATTACH
+    if constrained and focus.kind is NodeKind.TEXT:
+        legal = _LEAF
+    elif constrained and focus.children:
+        legal = _PARENT
+    else:
+        legal = _ANY
+    if state.depth >= MAX_DEPTH:
+        return legal - _ATTACH
+    return legal
 
 
 def apply_action(
@@ -193,32 +188,25 @@ def apply_action(
     action: Action,
     segment: Segment | None = None,
     *,
-    enforce_constraints: bool = True,
+    constrained: bool = True,
 ) -> TransitionState:
     """Apply one action, mutating and returning the state.
 
-    With ``enforce_constraints=False`` the text-leaf rule is not checked,
-    which lets an ablation build trees where text nodes have children.
-    Structural impossibilities (REDUCE or CONCAT at the root) always
-    raise.
+    Raises ``IllegalAction`` exactly when ``action`` is not in
+    ``legal_actions(state, constrained)``. REDUCE ignores ``segment``;
+    every other action consumes it.
     """
-    if action in CONSUMING_ACTIONS and segment is None:
+    if action is not Action.REDUCE and segment is None:
         raise MissingInput(f"{action.name} requires an input segment")
-
     focus = state.focus
+    if action not in legal_actions(state, constrained):
+        raise IllegalAction(
+            f"{action.name} not allowed at a {focus.kind.value} focus at depth {state.depth}"
+        )
+
     if action is Action.REDUCE:
-        if focus.kind is NodeKind.ROOT:
-            raise IllegalAction("REDUCE at the root: no parent to move to")
         state.stack.pop()
-        return state
-
-    if focus.kind is NodeKind.ROOT and action is Action.CONCAT:
-        raise IllegalAction("CONCAT at the root: the root carries no content")
-    if enforce_constraints and action not in legal_actions(state, queue_empty=False):
-        raise IllegalAction(f"{action.name} not allowed at a {focus.kind.value} focus")
-
-    assert segment is not None
-    if action is Action.CONCAT:
+    elif action is Action.CONCAT:
         focus.content = join_content(focus.content, segment.text, state.joiner)
         focus.source_segments.append(segment.index)
     else:
@@ -228,8 +216,6 @@ def apply_action(
         )
         focus.children.append(child)
         state.stack.append(child)
-        state._register(child)
-    state.consumed += 1
     return state
 
 

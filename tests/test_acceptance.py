@@ -201,7 +201,7 @@ def test_criterion_6_end_to_end_learning():
     }
 
     def test_f1(method, constrained=True) -> float:
-        parse = methods.parser_for(method, heads[method], constrained, "", 8)
+        parse = methods.parser_for(method, heads[method], constrained, "")
         reports = [metrics.evaluate(g.tree, parse(s.segments)) for g, s in test_p]
         return metrics.aggregate(reports).overall.f1
 

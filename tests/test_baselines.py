@@ -31,14 +31,14 @@ class ScriptedHead:
     hash_seed = 0
     dim = 1 << 10
 
-    def __init__(self, classes: list[int], size: int):
-        self.classes = list(classes)
-        self.size = size
+    def __init__(self, script: list[int], classes: int):
+        self.script = list(script)
+        self.classes = classes
         self.calls = 0
 
     def logits_for(self, indices, values):
-        logits = np.zeros(self.size)
-        logits[self.classes[self.calls]] = 5.0
+        logits = np.zeros(self.classes)
+        logits[self.script[self.calls]] = 5.0
         self.calls += 1
         return logits
 
@@ -47,12 +47,12 @@ class ConstantHead:
     hash_seed = 0
     dim = 1 << 10
 
-    def __init__(self, cls: int, size: int):
+    def __init__(self, cls: int, classes: int):
         self.cls = cls
-        self.size = size
+        self.classes = classes
 
     def logits_for(self, indices, values):
-        logits = np.zeros(self.size)
+        logits = np.zeros(self.classes)
         logits[self.cls] = 5.0
         return logits
 
@@ -110,7 +110,7 @@ class TestTagging:
             tag_class(2, False, depth),
         ]
         segments = [Segment(t, i) for i, t in enumerate(["h1", "h2", "ta", "tb", "h2b"])]
-        tree = tagging_predict(segments, ScriptedHead(tags, tag_count(depth)), depth)
+        tree = tagging_predict(segments, ScriptedHead(tags, tag_count(depth)))
         assert flatten(tree) == [
             (1, NodeKind.HEADING, "h1"),
             (2, NodeKind.HEADING, "h2"),
@@ -121,12 +121,12 @@ class TestTagging:
 
     def test_single_b_text(self):
         head = ScriptedHead([tag_class(TEXT_LEVEL, False, 8)], tag_count(8))
-        tree = tagging_predict([Segment("x", 0)], head, 8)
+        tree = tagging_predict([Segment("x", 0)], head)
         assert flatten(tree) == [(1, NodeKind.TEXT, "x")]
 
     def test_leading_inside_tag_coerced_to_begin(self):
         head = ScriptedHead([tag_class(TEXT_LEVEL, True, 8)], tag_count(8))
-        tree = tagging_predict([Segment("x", 0)], head, 8)
+        tree = tagging_predict([Segment("x", 0)], head)
         assert flatten(tree) == [(1, NodeKind.TEXT, "x")]
 
     def test_mismatched_inside_tag_opens_new_span(self):
@@ -136,7 +136,7 @@ class TestTagging:
             tag_class(2, True, depth),  # I-H2 after B-H1: becomes B-H2
         ]
         tree = tagging_predict(
-            [Segment("a", 0), Segment("b", 1)], ScriptedHead(tags, tag_count(depth)), depth
+            [Segment("a", 0), Segment("b", 1)], ScriptedHead(tags, tag_count(depth))
         )
         assert flatten(tree) == [
             (1, NodeKind.HEADING, "a"),
@@ -250,7 +250,7 @@ class TestOracleReproduction:
 
             tags = [label for _, label in tagging_examples(gold, segments, DEFAULT_MAX_DEPTH)]
             rebuilt = tagging_predict(
-                segments, ScriptedHead(tags, tag_count(DEFAULT_MAX_DEPTH)), DEFAULT_MAX_DEPTH
+                segments, ScriptedHead(tags, tag_count(DEFAULT_MAX_DEPTH))
             )
             assert rebuilt == gold
 

@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-from catparse.baselines import pipeline_predict
+from catparse.baselines import pipeline_predict, tagging_predict
 from catparse.cli import main
+from catparse.engine import decode, oracle_actions, replay_actions
 from catparse.jsonio import read_corpus, read_streams
+from catparse.methods import load_heads
 from catparse.scoring import LinearModel, save_model, write_container
-from catparse.tree import validate_tree
+from catparse.tree import MAX_DEPTH, NodeKind, flatten, tree_depth, validate_tree
 
 TINY = ["--count", "12", "--depth", "2", "4", "--seed", "5"]
 FAST_TRAIN = ["--epochs", "2", "--batch-size", "20", "--seed", "5"]
@@ -470,8 +472,31 @@ def small_container(magic: bytes, dim: int, classes: int) -> bytes:
             small_container(b"CTXC", 128, 2) + small_container(b"CTXL", 64, 9),
             "indicator block",
         ),
+        (
+            "pipeline",
+            small_container(b"CTXC", 128, 3) + small_container(b"CTXL", 128, 9),
+            "pipeline heads need",
+        ),
+        (
+            "pipeline",
+            small_container(b"CTXC", 128, 2) + small_container(b"CTXL", 128, 1),
+            "pipeline heads need",
+        ),
+        (
+            "pipeline",
+            small_container(b"CTXC", 128, 2) + small_container(b"CTXL", 128, MAX_DEPTH + 1),
+            "pipeline heads need",
+        ),
+        ("tagging", small_container(b"CTXB", 128, 9), "tagging head needs"),
+        ("tagging", small_container(b"CTXB", 128, 2), "tagging head needs"),
+        ("tagging", small_container(b"CTXB", 128, 2 * MAX_DEPTH + 2), "tagging head needs"),
+        # 92 bytes whose header claims 4 * 2**50 weights
+        ("transition", struct.pack("<4sIQqI", b"CTXM", 1, 2**50, 0, 4) + bytes(64), "claims"),
     ],
-    ids=["three-classes", "dim-64", "pipeline-dim-64"],
+    ids=[
+        "three-classes", "dim-64", "pipeline-dim-64", "merge-3", "level-1",
+        "level-past-bound", "tagging-odd", "tagging-2", "tagging-past-bound", "lying-header",
+    ],
 )
 def test_invalid_model_file_exits_1(workspace, capsys, method, content, message):
     model = workspace / "bad.bin"
@@ -507,3 +532,126 @@ def test_pipeline_heads_of_different_dimensions_predict(workspace):
     for stream, doc in zip(streams, docs):
         validate_tree(doc.tree, stream.segments)
         assert doc.tree == pipeline_predict(stream.segments, merge, level)
+
+
+def chain_root(depth: int) -> dict:
+    """A corpus root holding a chain of ``depth`` nested headings."""
+    node = {"kind": "heading", "content": "h", "segments": [depth - 1], "children": []}
+    for i in range(depth - 2, -1, -1):
+        node = {"kind": "heading", "content": "h", "segments": [i], "children": [node]}
+    return {"kind": "root", "content": "", "segments": [], "children": [node]}
+
+
+def test_label_budget_comes_from_the_model_file(workspace, capsys):
+    segs = workspace / "segs.jsonl"
+    for method in ("pipeline", "tagging"):
+        model = workspace / f"{method}.bin"
+        assert run(
+            "train", "--method", method, "--max-depth", "3",
+            "--train", workspace / "gold.jsonl", "--train-segments", segs,
+            "--dev", workspace / "gold.jsonl", "--dev-segments", segs,
+            "--model-out", model, *FAST_TRAIN,
+        ) == 0
+        heads = load_heads(model, method)
+        assert heads[-1].classes == (4 if method == "pipeline" else 8)
+        pred = workspace / f"{method}-pred.jsonl"
+        assert run(
+            "predict", "--method", method, "--segments", segs,
+            "--scorer", f"linear:{model}", "--out", pred,
+        ) == 0
+        predict = pipeline_predict if method == "pipeline" else tagging_predict
+        docs = read_corpus(pred)
+        for stream, doc in zip(read_streams(segs), docs):
+            assert doc.tree == predict(stream.segments, *heads)
+            assert tree_depth(doc.tree) <= 5  # heading levels 1..3, text under them
+        # read with a budget of 8, the text label would become heading level 4
+        assert any(kind is NodeKind.TEXT for doc in docs for _, kind, _ in flatten(doc.tree))
+    with pytest.raises(SystemExit) as exc:
+        run("predict", "--segments", segs, "--scorer", "linear:m", "--out", "p",
+            "--max-depth", "4")
+    assert exc.value.code == 2
+    capsys.readouterr()
+    for depth in (0, MAX_DEPTH):
+        assert run(
+            "train", "--max-depth", depth, "--train", workspace / "gold.jsonl",
+            "--train-segments", segs, "--dev", workspace / "gold.jsonl",
+            "--dev-segments", segs, "--model-out", workspace / "m.bin",
+        ) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--max-depth" in err[0]
+    assert run("generate", "--out", workspace / "deep.jsonl", "--depth", 2, MAX_DEPTH + 2) == 1
+    assert "depth range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [-2, 1], ids=["two-short", "one-long"])
+def test_stream_length_must_match_the_gold_tree(workspace, capsys, change):
+    streams = [json.loads(line) for line in (workspace / "segs.jsonl").read_text().splitlines()]
+    victim = streams[3]
+    if change < 0:
+        victim["segments"] = victim["segments"][:change]
+    else:
+        victim["segments"].append("one more piece")
+    bad = workspace / "bad-segs.jsonl"
+    bad.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in streams))
+    gold = workspace / "gold.jsonl"
+    for method in ("transition", "pipeline", "tagging"):
+        assert run(
+            "train", "--method", method, "--train", gold, "--train-segments", bad,
+            "--dev", gold, "--dev-segments", workspace / "segs.jsonl",
+            "--model-out", workspace / "m.bin", "--epochs", "1",
+        ) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "schema error" in err[0] and repr(victim["id"]) in err[0]
+    assert run("oracle-check", "--corpus", gold, "--segments", bad) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and repr(victim["id"]) in err[0]
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_decoding_stops_descending_at_the_depth_bound(tmp_path, constrained):
+    # a scorer that always prefers sub_heading, then sub_text, reduce, concat
+    model = LinearModel.create(dim=1 << 10, classes=4)
+    model.bias[:] = [3.0, 2.0, 0.0, 1.0]
+    save_model(model, tmp_path / "m.bin")
+    segments = [f"s{i}" for i in range(3000)]
+    segs = tmp_path / "segs.jsonl"
+    segs.write_text(json.dumps({"id": "deep", "segments": segments}) + "\n")
+    pred = tmp_path / "pred.jsonl"
+    flags = [] if constrained else ["--unconstrained"]
+    assert run(
+        "predict", "--segments", segs, "--scorer", f"linear:{tmp_path / 'm.bin'}",
+        "--out", pred, *flags,
+    ) == 0
+    (stream,) = read_streams(segs)
+    (doc,) = read_corpus(pred)
+    validate_tree(doc.tree, stream.segments)
+    assert tree_depth(doc.tree) == MAX_DEPTH + 1
+    assert doc.tree == decode(stream.segments, model, constrained)[0]
+    assert replay_actions(oracle_actions(doc.tree), stream.segments) == doc.tree
+
+
+def test_nesting_past_the_bounds_is_schema_error(tmp_path, capsys):
+    deep = tmp_path / "deep.jsonl"
+    at_bound = {"id": "ok", "source": "x", "root": chain_root(MAX_DEPTH)}
+    deep.write_text(json.dumps(at_bound) + "\n")
+    assert run("stats", "--corpus", deep) == 0
+    past = {"id": "deep", "source": "x", "root": chain_root(MAX_DEPTH + 1)}
+    deep.write_text(json.dumps(past) + "\n")
+    capsys.readouterr()
+    for argv in (["stats", "--corpus", deep], ["oracle-check", "--corpus", deep]):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"deeper than {MAX_DEPTH}" in err[0]
+
+    brackets = tmp_path / "brackets.jsonl"
+    brackets.write_text("[" * 100_000 + "\n")
+    model = tmp_path / "m.bin"
+    save_model(LinearModel.create(dim=128), model)
+    for argv in (
+        ["stats", "--corpus", brackets],
+        ["predict", "--segments", brackets, "--scorer", f"linear:{model}",
+         "--out", tmp_path / "pred.jsonl"],
+    ):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "nested too deeply" in err[0]

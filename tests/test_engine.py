@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from catparse import jsonio
 from catparse.corpus import ChunkConfig, GenConfig, chunk_document, generate_synthetic
 from catparse.engine import (
     OracleError,
@@ -9,10 +12,12 @@ from catparse.engine import (
     replay_actions,
 )
 from catparse.tree import (
+    MAX_DEPTH,
     Action,
     NodeKind,
     Segment,
     flatten,
+    tree_depth,
     validate_tree,
 )
 
@@ -97,6 +102,26 @@ class TestDecode:
         assert trace.steps[0].forced
         assert len(tree.root.children) == 1
 
+    def test_focus_is_named_by_the_segment_that_opened_it(self, walkthrough):
+        segments, actions, _ = walkthrough
+        _, trace = decode(segments, ScriptedScorer([a for a, _ in actions]), joiner=" ")
+        assert [s.focus_segment for s in trace.steps] == [None, 0, 1, 2, 2, 1, 0, 4]
+        assert [s.segment_index for s in trace.steps] == [i for _, i in actions]
+
+    @pytest.mark.parametrize("constrained", [True, False])
+    def test_depth_bound_holds_in_both_modes(self, constrained):
+        segments = [Segment(f"s{i}", i) for i in range(3 * MAX_DEPTH)]
+        tree, trace = decode(segments, ConstantScorer(Action.SUB_HEADING), constrained)
+        assert tree_depth(tree) == MAX_DEPTH + 1
+        validate_tree(tree, segments)
+        # past the bound, ties between CONCAT and REDUCE go to CONCAT
+        forced = [s for s in trace.steps if s.forced]
+        assert len(forced) == len(segments) - MAX_DEPTH
+        assert {(s.focus_segment, s.action) for s in forced} == {(MAX_DEPTH - 1, Action.CONCAT)}
+        obj = jsonio.serialize_tree(tree)
+        assert jsonio.parse_tree(obj) == tree
+        assert replay_actions(oracle_actions(tree), segments) == tree
+
     def test_trace_scores_are_probabilities(self):
         tree, trace = decode([Segment("a", 0)], ConstantScorer(Action.SUB_TEXT))
         assert abs(sum(trace.steps[0].scores) - 1.0) < 1e-9
@@ -157,6 +182,45 @@ class TestOracle:
             assert all(a is not Action.CONCAT for a, _ in actions)
             consuming = [a for a, _ in actions if a is not Action.REDUCE]
             assert len(consuming) == len(segments)
+
+
+class TestLengthMismatch:
+    """Actions and the stream they replay must end together."""
+
+    def test_replay_with_a_shorter_stream(self, walkthrough):
+        segments, actions, _ = walkthrough
+        with pytest.raises(OracleError, match="actions remain"):
+            replay_actions(actions, segments[:-1], joiner=" ")
+
+    def test_replay_with_a_longer_stream(self, walkthrough):
+        segments, actions, _ = walkthrough
+        extra = segments + [Segment("one more", len(segments))]
+        with pytest.raises(OracleError, match="actions end"):
+            replay_actions(actions, extra, joiner=" ")
+
+    def test_oracle_examples_with_either_mismatch(self, walkthrough):
+        segments, _, gold = walkthrough
+        for stream in (segments[:-2], segments + [Segment("x", 6)]):
+            with pytest.raises(OracleError):
+                oracle_examples(gold, stream, joiner=" ")
+
+    def test_recorded_index_must_match_the_stream(self, walkthrough):
+        segments, actions, _ = walkthrough
+        shifted = [(a, None if i is None else i + 1) for a, i in actions]
+        with pytest.raises(OracleError, match="names segment 1"):
+            replay_actions(shifted, segments, joiner=" ")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 40), st.integers(0, 2**32 - 1))
+def test_random_scorer_streams(length, seed):
+    segments = [Segment(f"s{i}", i) for i in range(length)]
+    tree, _ = decode(segments, RandomScorer(seed))
+    validate_tree(tree, segments)
+    assert replay_actions(oracle_actions(tree), segments) == tree
+    _, trace = decode(segments, RandomScorer(seed), constrained=False)
+    assert all(s.focus_segment is None for s in trace.steps if s.forced)
+    assert len([s for s in trace.steps if s.segment_index is not None]) == length
 
 
 def test_oracle_examples_see_partial_content(walkthrough):

@@ -1,6 +1,7 @@
 import pytest
 
 from catparse.tree import (
+    MAX_DEPTH,
     Action,
     CatalogTree,
     IllegalAction,
@@ -43,7 +44,7 @@ class TestApplyAction:
         assert state.focus.content == "Credit Rating Report"
         assert state.focus.source_segments == [0]
         assert state.tree.root.children == [state.focus]
-        assert state.consumed == 1
+        assert state.depth == 1
 
     def test_sub_text_creates_leaf(self):
         state = TransitionState.initial()
@@ -59,16 +60,15 @@ class TestApplyAction:
         apply_action(state, Action.CONCAT, Segment("was 474 billion yuan.", 2))
         assert state.focus.content == "The balance was 474 billion yuan."
         assert state.focus.source_segments == [1, 2]
-        assert state.consumed == 3
+        assert state.depth == 2
 
     def test_reduce_moves_to_parent_without_consuming(self):
         state = TransitionState.initial()
         apply_action(state, Action.SUB_HEADING, Segment("h", 0))
         apply_action(state, Action.SUB_TEXT, Segment("t", 1))
-        consumed = state.consumed
-        apply_action(state, Action.REDUCE)
+        apply_action(state, Action.REDUCE, Segment("ignored", 2))
         assert state.focus.kind is NodeKind.HEADING
-        assert state.consumed == consumed
+        assert [n.source_segments for n in state.focus.children] == [[1]]
 
     def test_missing_segment(self):
         state = TransitionState.initial()
@@ -78,12 +78,12 @@ class TestApplyAction:
     def test_reduce_at_root_is_always_illegal(self):
         state = TransitionState.initial()
         with pytest.raises(IllegalAction):
-            apply_action(state, Action.REDUCE, enforce_constraints=False)
+            apply_action(state, Action.REDUCE, constrained=False)
 
     def test_concat_at_root_is_always_illegal(self):
         state = TransitionState.initial()
         with pytest.raises(IllegalAction):
-            apply_action(state, Action.CONCAT, Segment("x", 0), enforce_constraints=False)
+            apply_action(state, Action.CONCAT, Segment("x", 0), constrained=False)
 
     def test_text_focus_rejects_children_when_enforcing(self):
         state = TransitionState.initial()
@@ -92,33 +92,48 @@ class TestApplyAction:
         with pytest.raises(IllegalAction):
             apply_action(state, Action.SUB_TEXT, Segment("u", 2))
         # the ablation may attach it anyway
-        apply_action(state, Action.SUB_TEXT, Segment("u", 2), enforce_constraints=False)
+        apply_action(state, Action.SUB_TEXT, Segment("u", 2), constrained=False)
         assert state.focus.content == "u"
+
+
+def chain(depth: int, last: Action = Action.SUB_HEADING) -> TransitionState:
+    """A state whose focus sits at ``depth``: headings down, then ``last``."""
+    state = TransitionState.initial()
+    for i in range(depth - 1):
+        apply_action(state, Action.SUB_HEADING, Segment(f"h{i}", i))
+    if depth:
+        apply_action(state, last, Segment("leaf", depth - 1))
+    return state
+
+
+def all_focus_kinds() -> list[TransitionState]:
+    """Root; heading, heading with children and text at depth 1; heading
+    and text at MAX_DEPTH, where no node can have children."""
+    parent = chain(1)
+    apply_action(parent, Action.SUB_TEXT, Segment("t", 1))
+    apply_action(parent, Action.REDUCE)
+    return [
+        chain(0), chain(1), parent, chain(1, Action.SUB_TEXT),
+        chain(MAX_DEPTH), chain(MAX_DEPTH, Action.SUB_TEXT),
+    ]
 
 
 class TestLegalActions:
     def test_fresh_state(self):
-        state = TransitionState.initial()
-        assert legal_actions(state, queue_empty=False) == {
-            Action.SUB_HEADING,
-            Action.SUB_TEXT,
-        }
-
-    def test_root_with_empty_queue_terminates(self):
-        state = TransitionState.initial()
-        assert legal_actions(state, queue_empty=True) == frozenset()
+        for constrained in (True, False):
+            assert legal_actions(chain(0), constrained) == {
+                Action.SUB_HEADING,
+                Action.SUB_TEXT,
+            }
 
     def test_text_focus(self):
-        state = TransitionState.initial()
-        apply_action(state, Action.SUB_TEXT, Segment("t", 0))
-        assert legal_actions(state, queue_empty=False) == {Action.CONCAT, Action.REDUCE}
-        assert legal_actions(state, queue_empty=True) == {Action.REDUCE}
+        state = chain(1, Action.SUB_TEXT)
+        assert legal_actions(state, True) == {Action.CONCAT, Action.REDUCE}
+        assert legal_actions(state, False) == set(Action)
 
     def test_heading_focus(self):
-        state = TransitionState.initial()
-        apply_action(state, Action.SUB_HEADING, Segment("h", 0))
-        assert legal_actions(state, queue_empty=False) == set(Action)
-        assert legal_actions(state, queue_empty=True) == {Action.REDUCE}
+        for constrained in (True, False):
+            assert legal_actions(chain(1), constrained) == set(Action)
 
     def test_heading_with_children_cannot_concat(self):
         # appending a piece after a subtree would scramble document order
@@ -126,20 +141,29 @@ class TestLegalActions:
         apply_action(state, Action.SUB_HEADING, Segment("h", 0))
         apply_action(state, Action.SUB_TEXT, Segment("t", 1))
         apply_action(state, Action.REDUCE)
-        assert legal_actions(state, queue_empty=False) == {
+        assert legal_actions(state, True) == {
             Action.SUB_HEADING,
             Action.SUB_TEXT,
             Action.REDUCE,
         }
         with pytest.raises(IllegalAction):
             apply_action(state, Action.CONCAT, Segment("x", 2))
+        # the ablation may still extend it
+        assert legal_actions(state, False) == set(Action)
 
-    def test_never_empty_unless_finished(self):
-        state = TransitionState.initial()
-        apply_action(state, Action.SUB_HEADING, Segment("h", 0))
-        apply_action(state, Action.SUB_TEXT, Segment("t", 1))
-        for queue_empty in (False, True):
-            assert legal_actions(state, queue_empty)
+    def test_no_child_attaches_at_max_depth(self):
+        heading, leaf = all_focus_kinds()[4:]
+        assert heading.depth == leaf.depth == MAX_DEPTH
+        for constrained in (True, False):
+            assert legal_actions(heading, constrained) == {Action.CONCAT, Action.REDUCE}
+            assert legal_actions(leaf, constrained) == {Action.CONCAT, Action.REDUCE}
+            with pytest.raises(IllegalAction):
+                apply_action(heading, Action.SUB_TEXT, Segment("x", 0), constrained=constrained)
+
+    def test_never_empty(self):
+        for state in all_focus_kinds():
+            for constrained in (True, False):
+                assert legal_actions(state, constrained)
 
 
 class TestFlatten:
