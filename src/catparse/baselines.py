@@ -12,20 +12,21 @@ text. Both formulations top out at a fixed ``max_depth``, set at training
 time and recorded in a head's class count (deeper gold trees cannot be
 reproduced), and both rebuild the tree with the same
 stack rule: a heading pops everything at its level or deeper, text
-attaches to the current top.
+attaches to the current top. Both learn from ``engine.gold_owners``,
+the table the transition oracle reads.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import engine
 from .scoring import LinearModel, ScoringInput, featurize
 from .tree import (
     CatalogNode,
     CatalogTree,
     NodeKind,
     Segment,
-    iter_nodes,
     join_content,
 )
 
@@ -94,48 +95,50 @@ def _tag_input(segments: Sequence[Segment], i: int) -> ScoringInput:
     return _pair_input(segments[i - 1], segments[i])
 
 
-def _segment_owners(gold: CatalogTree) -> tuple[dict[int, int], list[tuple[CatalogNode, int]]]:
-    """Map segment index to a node ordinal; also return nodes with levels."""
-    owners: dict[int, int] = {}
-    nodes: list[tuple[CatalogNode, int]] = []
-    for ordinal, (node, level) in enumerate(iter_nodes(gold)):
-        nodes.append((node, level))
-        for index in node.source_segments:
-            owners[index] = ordinal
-    return owners, nodes
+def _gold_segments(
+    gold: CatalogTree, segments: Sequence[Segment]
+) -> list[tuple[bool, CatalogNode, int]]:
+    """Per segment, from ``engine.gold_owners``: whether its owner also
+    owns the segment before (merge, or an inside tag), the owner, and the
+    owner's level label."""
+    owners = engine.gold_owners(gold)
+    if len(owners) != len(segments):
+        raise engine.OracleError(
+            f"the stream has {len(segments)} segments, its gold tree owns {len(owners)}"
+        )
+    rows, previous = [], None
+    for node, level in owners:
+        rows.append((node is previous, node, TEXT_LEVEL if node.kind is NodeKind.TEXT else level))
+        previous = node
+    return rows
 
 
 def pipeline_examples(
     gold: CatalogTree, segments: Sequence[Segment], max_depth: int
 ) -> tuple[list[tuple[ScoringInput, int]], list[tuple[ScoringInput, int]]]:
-    """Training pairs for the two pipeline heads (merge, unit level)."""
-    owners, nodes = _segment_owners(gold)
-    pair_examples = []
-    for i in range(1, len(segments)):
-        label = MERGE if owners[i] == owners[i - 1] else NEW_UNIT
-        pair_examples.append((_pair_input(segments[i - 1], segments[i]), label))
-    level_examples = []
-    for node, level in nodes:
-        target = TEXT_LEVEL if node.kind is NodeKind.TEXT else level
-        level_examples.append(
-            (_unit_input(node.content), level_to_class(target, max_depth))
-        )
+    """Training pairs for the two pipeline heads (merge, unit level); a
+    unit is a run of segments with one gold owner."""
+    rows = _gold_segments(gold, segments)
+    pair_examples = [
+        (_pair_input(segments[i - 1], segments[i]), MERGE if same else NEW_UNIT)
+        for i, (same, _, _) in enumerate(rows)
+        if i > 0
+    ]
+    level_examples = [
+        (_unit_input(node.content), level_to_class(level, max_depth))
+        for same, node, level in rows
+        if not same
+    ]
     return pair_examples, level_examples
 
 
 def tagging_examples(
     gold: CatalogTree, segments: Sequence[Segment], max_depth: int
 ) -> list[tuple[ScoringInput, int]]:
-    owners, nodes = _segment_owners(gold)
-    examples = []
-    for i in range(len(segments)):
-        node, level = nodes[owners[i]]
-        target = TEXT_LEVEL if node.kind is NodeKind.TEXT else level
-        inside = owners.get(i - 1) == owners[i]
-        examples.append(
-            (_tag_input(segments, i), tag_class(target, inside, max_depth))
-        )
-    return examples
+    return [
+        (_tag_input(segments, i), tag_class(level, same, max_depth))
+        for i, (same, _, level) in enumerate(_gold_segments(gold, segments))
+    ]
 
 
 def rebuild_from_levels(units: Sequence[Unit]) -> CatalogTree:
@@ -237,23 +240,16 @@ def tagging_predict(
     if not segments:
         return CatalogTree.empty()
     max_depth = tag_model.classes // 2 - 1
-    units: list[Unit] = []
-    open_level: int | None = None
-    for i, segment in enumerate(segments):
+    levels: list[int] = []
+    merge_after: list[bool] = []
+    for i in range(len(segments)):
         cls = _predict_class(tag_model, _tag_input(segments, i))
         level = class_to_level(cls // 2, max_depth)
-        inside = cls % 2 == 1
-        if inside and open_level == level:
-            last = units[-1]
-            units[-1] = Unit(
-                level=last.level,
-                content=join_content(last.content, segment.text, joiner),
-                segments=last.segments + (segment.index,),
-            )
-        else:
-            units.append(
-                Unit(level=level, content=segment.text, segments=(segment.index,))
-            )
-            open_level = level
+        # every segment of a span carries the span's level
+        merge_after.append(cls % 2 == 1 and i > 0 and levels[-1] == level)
+        levels.append(level)
+    units, start = [], 0
+    for content, seg_indices in _merge_segments(segments, merge_after, joiner):
+        units.append(Unit(level=levels[start], content=content, segments=seg_indices))
+        start += len(seg_indices)
     return rebuild_from_levels(units)
-

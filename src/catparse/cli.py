@@ -5,8 +5,9 @@ stats. All of them read and write the JSON-lines formats described in
 ``jsonio`` and drop a run manifest next to their outputs. Exit codes:
 0 success, 1 I/O, scorer bridge, model file, option or check failure, 2
 schema violation (a stream that does not match its gold tree, too deep
-a tree), a training tree no transition sequence rebuilds, or an empty
-dev or gold corpus, 3 training failure.
+a tree), a training tree no transition sequence rebuilds (whatever the
+method: all three train from ``engine.gold_owners``), or an empty dev or
+gold corpus, 3 training failure.
 """
 from __future__ import annotations
 
@@ -213,6 +214,11 @@ def _load_gold_with_segments(
     return paired
 
 
+def _require_positive(option: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise ValueError(f"{option} must be at least 1, got {value}")
+
+
 def _subsample(items: list, count: int | None, seed: int) -> list:
     if count is None or count >= len(items):
         return items
@@ -227,6 +233,7 @@ def cmd_train(args) -> int:
     if not 1 <= args.max_depth < MAX_DEPTH:
         # a text leaf sits one level under the deepest heading label
         raise ValueError(f"--max-depth must lie in 1..{MAX_DEPTH - 1}, got {args.max_depth}")
+    _require_positive("--subsample", args.subsample)
     joiner = JOINERS[args.joiner]
     train_pairs = _load_gold_with_segments(args.train, args.train_segments, joiner)
     dev_pairs = _load_gold_with_segments(args.dev, args.dev_segments, joiner)
@@ -337,6 +344,7 @@ def _parse_one(segments: list[Segment]):
 
 def cmd_predict(args) -> int:
     started = time.time()
+    _require_positive("--jobs", args.jobs)
     joiner = JOINERS[args.joiner]
     streams = jsonio.read_streams(args.segments, joiner)
     constrained = not args.unconstrained
@@ -412,6 +420,7 @@ def _check_one(payload) -> tuple[str, str | None]:
 
 
 def cmd_oracle_check(args) -> int:
+    _require_positive("--jobs", args.jobs)
     joiner = JOINERS[args.joiner]
     pairs = _load_gold_with_segments(args.corpus, args.segments, joiner)
     payloads = [(doc, segments, joiner) for doc, segments in pairs]

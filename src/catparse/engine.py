@@ -1,11 +1,12 @@
 """Decoding and the gold-action oracle.
 
 ``decode`` runs a scorer over the input queue, forcing predictions into
-the legal action set (which the ablation loosens). ``oracle_actions``
-inverts a gold tree into the action sequence that rebuilds it, which is
-what the trainer learns from. Decoding, replay and the training examples
-all step through ``_run``, the one transition loop, each with its own
-way of choosing the next action.
+the legal action set (which the ablation loosens). ``gold_owners``, the
+table of which gold node owns each segment, is what all three methods
+train from; ``oracle_actions`` reads it as the action sequence that
+rebuilds the tree. Decoding, replay and the training examples all step
+through ``_run``, the one transition loop, each with its own way of
+choosing the next action.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .tree import (
     Segment,
     TransitionState,
     apply_action,
+    iter_nodes,
     legal_actions,
 )
 
@@ -107,79 +109,47 @@ def decode(
     return _run(segments, choose, joiner, constrained), DecodeTrace(steps=steps)
 
 
-def _index_gold(gold: CatalogTree):
-    """Pre-order walk collecting segment owners, parents and first indices."""
-    owner: dict[int, CatalogNode] = {}
-    parent: dict[int, CatalogNode | None] = {id(gold.root): None}
-    first_index: dict[int, int] = {}
-    ordered: list[int] = []
+def gold_owners(gold: CatalogTree) -> list[tuple[CatalogNode, int]]:
+    """The node that owns each segment, with its level, in stream order.
 
-    def visit(node: CatalogNode) -> None:
-        if node.source_segments:
-            first_index[id(node)] = node.source_segments[0]
-        for index in node.source_segments:
-            if index in owner:
-                raise OracleError(f"segment {index} owned by two nodes")
-            owner[index] = node
-            ordered.append(index)
-        for child in node.children:
-            parent[id(child)] = node
-            visit(child)
-
-    visit(gold.root)
+    Raises ``OracleError`` unless the root owns no segment and a pre-order
+    walk meets every other node with at least one segment, the indices
+    running exactly 0, 1, ..., n-1: the trees a transition sequence rebuilds.
+    """
     if gold.root.source_segments:
         raise OracleError("the root must not own segments")
-    for prev, cur in zip(ordered, ordered[1:]):
-        if cur <= prev:
-            raise OracleError(
-                f"segment order not increasing in document order ({prev} then {cur})"
-            )
-    if ordered and (ordered[0] != 0 or ordered[-1] != len(ordered) - 1):
-        raise OracleError("segment indices must cover 0..n-1")
-    return owner, parent, first_index
+    owners: list[tuple[CatalogNode, int]] = []
+    for node, level in iter_nodes(gold):
+        if not node.source_segments:
+            raise OracleError(f"a {node.kind.value} node at level {level} owns no segment")
+        for index in node.source_segments:
+            if index != len(owners):
+                raise OracleError(
+                    f"pre-order meets segment {index} where segment {len(owners)} is due"
+                )
+            owners.append((node, level))
+    return owners
 
 
 def oracle_actions(gold: CatalogTree) -> list[tuple[Action, int | None]]:
     """Derive the gold action sequence that rebuilds ``gold`` exactly.
 
-    Walking the unconsumed segments in order: a segment owned by the
-    focus node extends it (CONCAT); a segment owned by a child of the
-    focus opens that child (SUB_HEADING or SUB_TEXT); anything else pops
-    the focus one level (REDUCE), one action per pop. REDUCE steps carry
-    no segment index. Trailing reduces after the last segment are
-    omitted.
+    One pass over ``gold_owners``: a segment with the same owner as the
+    segment before extends it (CONCAT); any other opens its owner
+    (SUB_HEADING or SUB_TEXT) after ``depth - level + 1`` REDUCEs, which
+    climb from the focus to the owner's parent. REDUCE steps carry no
+    segment index. Trailing reduces after the last segment are omitted.
     """
-    owner, parent, first_index = _index_gold(gold)
-    total = len(owner)
     actions: list[tuple[Action, int | None]] = []
-    stack: list[CatalogNode] = [gold.root]
-    position = 0
-    while position < total:
-        node = owner[position]
-        focus = stack[-1]
-        if node is focus:
+    previous, depth = None, 0
+    for position, (node, level) in enumerate(gold_owners(gold)):
+        if node is previous:
             actions.append((Action.CONCAT, position))
-            position += 1
-        elif parent.get(id(node)) is focus:
-            if first_index[id(node)] != position:
-                raise OracleError(
-                    f"segment {position} starts node out of order"
-                )
-            attach = (
-                Action.SUB_HEADING
-                if node.kind is NodeKind.HEADING
-                else Action.SUB_TEXT
-            )
-            actions.append((attach, position))
-            stack.append(node)
-            position += 1
-        else:
-            if focus is gold.root:
-                raise OracleError(
-                    f"segment {position} is not reachable from the root"
-                )
-            actions.append((Action.REDUCE, None))
-            stack.pop()
+            continue
+        actions.extend([(Action.REDUCE, None)] * (depth - level + 1))
+        attach = Action.SUB_HEADING if node.kind is NodeKind.HEADING else Action.SUB_TEXT
+        actions.append((attach, position))
+        previous, depth = node, level
     return actions
 
 

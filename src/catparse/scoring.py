@@ -18,6 +18,7 @@ rather than the full dimension.
 """
 from __future__ import annotations
 
+import math
 import os
 import re
 import struct
@@ -370,10 +371,11 @@ class TrainConfig:
     class_weighting: bool = False
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0 or self.epochs <= 0 or self.batch_size <= 0:
-            raise ValueError("learning rate, epochs and batch size must be positive")
-        if self.weight_decay <= 0:
-            raise ValueError("weight decay must be positive")
+        # NaN fails every comparison, so it fails these range tests too
+        if not 0 < self.learning_rate < math.inf or self.epochs <= 0 or self.batch_size <= 0:
+            raise ValueError("learning rate (finite), epochs and batch size must be positive")
+        if not 0 < self.weight_decay < math.inf:
+            raise ValueError("weight decay must be finite and positive")
 
 
 _BETA1 = 0.9

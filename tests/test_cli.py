@@ -227,41 +227,77 @@ def test_bridge_failure_exits_1(workspace, capsys, program):
     assert "Traceback" not in err
 
 
-def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys):
+def owning(content: str, segments: list[int], *children: dict, kind: str = "heading") -> dict:
+    return {"kind": kind, "content": content, "segments": segments, "children": list(children)}
+
+
+# Gold trees no transition sequence rebuilds: the root's children, the
+# root's own segments, and the number of segments the other nodes own.
+UNUSABLE_TREES = {
+    "backward": ([owning("b", [1]), owning("a", [0])], [], 2),
+    "gap": ([owning("a", [0]), owning("b", [1]), owning("c", [5])], [], 3),
+    "unowned-node": ([owning("a", [0], owning("", [], kind="text")), owning("b", [1])], [], 2),
+    "root-owns": ([owning("a", [1])], [0], 1),
+    "double-owner": ([owning("a", [0]), owning("b", [0])], [], 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNUSABLE_TREES))
+def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, shape):
     assert run(
         "oracle-check",
         "--corpus", workspace / "gold.jsonl",
         "--segments", workspace / "segs.jsonl",
     ) == 0
-    # a document whose pre-order segment indices go backward
+    children, root_segments, owned = UNUSABLE_TREES[shape]
+    root = {"kind": "root", "content": "", "segments": root_segments, "children": children}
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(
-        json.dumps(
-            {
-                "id": "broken",
-                "source": "x",
-                "root": {
-                    "kind": "root", "content": "", "segments": [],
-                    "children": [
-                        {"kind": "heading", "content": "b", "segments": [1], "children": []},
-                        {"kind": "heading", "content": "a", "segments": [0], "children": []},
-                    ],
-                },
-            }
-        )
-        + "\n"
-    )
-    assert run("oracle-check", "--corpus", bad) == 1
-    # train needs the oracle for the transition method and for the dump
+    bad.write_text(json.dumps({"id": "broken", "source": "x", "root": root}) + "\n")
+    segs = tmp_path / "bad-segs.jsonl"
+    stream = {"id": "broken", "segments": [f"s{i}" for i in range(owned)]}
+    segs.write_text(json.dumps(stream) + "\n")
+    assert run("oracle-check", "--corpus", bad, "--segments", segs) == 1
+    # every method trains from the same segment-owner table
     capsys.readouterr()
-    dump = ["--dump-actions", tmp_path / "a.jsonl"]
-    for extra in (["--method", "transition"], ["--method", "tagging", *dump]):
+    for method in ("transition", "pipeline", "tagging"):
         assert run(
-            "train", "--train", bad, "--dev", bad, "--model-out", tmp_path / "m.bin",
-            "--epochs", "1", *extra,
+            "train", "--method", method, "--train", bad, "--train-segments", segs,
+            "--dev", bad, "--dev-segments", segs, "--model-out", tmp_path / "m.bin",
+            "--epochs", "1",
         ) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "no transition sequence" in err[0]
+    assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize(
+    "command,option,value,message",
+    [
+        ("train", "--lr", "nan", "learning rate"),
+        ("train", "--lr", "inf", "learning rate"),
+        ("train", "--weight-decay", "nan", "weight decay"),
+        ("train", "--subsample", "0", "--subsample"),
+        ("train", "--subsample", "-1", "--subsample"),
+        ("predict", "--jobs", "-2", "--jobs"),
+        ("oracle-check", "--jobs", "0", "--jobs"),
+    ],
+    ids=["lr-nan", "lr-inf", "decay-nan", "subsample-0", "subsample-neg", "predict-jobs",
+         "check-jobs"],
+)
+def test_option_out_of_range_exits_1(workspace, capsys, command, option, value, message):
+    gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"
+    save_model(LinearModel.create(dim=128), model)
+    rest = {
+        "train": ["--train", gold, "--train-segments", segs, "--dev", gold,
+                  "--dev-segments", segs, "--model-out", workspace / "out.bin", "--epochs", "1"],
+        "predict": ["--segments", segs, "--scorer", f"linear:{model}",
+                    "--out", workspace / "pred.jsonl"],
+        "oracle-check": ["--corpus", gold, "--segments", segs],
+    }[command]
+    assert run(command, option, value, *rest) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and message in err[0]
+    assert not (workspace / "out.bin").exists() and not (workspace / "pred.jsonl").exists()
 
 
 def test_oracle_check_without_streams_uses_trivial_segments(workspace):

@@ -3,10 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catparse import jsonio
+from catparse.baselines import DEFAULT_MAX_DEPTH, pipeline_examples, tagging_examples
 from catparse.corpus import ChunkConfig, GenConfig, chunk_document, generate_synthetic
 from catparse.engine import (
     OracleError,
     decode,
+    gold_owners,
     oracle_actions,
     oracle_examples,
     replay_actions,
@@ -132,6 +134,23 @@ class TestOracle:
         _, actions, gold = walkthrough
         assert oracle_actions(gold) == actions
 
+    def test_gold_owners_of_walkthrough(self, walkthrough):
+        segments, _, gold = walkthrough
+        owners = gold_owners(gold)
+        assert len(owners) == len(segments)
+        assert [(node.content, level) for node, level in owners] == [
+            ("Credit Rating Report", 1),
+            ("Debt Situation", 2),
+            ("The balance was 474 billion yuan.", 3),
+            ("The balance was 474 billion yuan.", 3),
+            ("Security Analysis", 2),
+            ("Texts", 3),
+        ]
+        # both pieces of the split text belong to the one node
+        assert owners[2][0] is owners[3][0]
+        for (node, _), segment in zip(owners, segments):
+            assert segment.index in node.source_segments
+
     def test_single_heading(self):
         gold = tree_of(heading("H1", [0]))
         assert oracle_actions(gold) == [(Action.SUB_HEADING, 0)]
@@ -200,9 +219,15 @@ class TestLengthMismatch:
 
     def test_oracle_examples_with_either_mismatch(self, walkthrough):
         segments, _, gold = walkthrough
+        builders = (
+            lambda stream: oracle_examples(gold, stream, joiner=" "),
+            lambda stream: pipeline_examples(gold, stream, DEFAULT_MAX_DEPTH),
+            lambda stream: tagging_examples(gold, stream, DEFAULT_MAX_DEPTH),
+        )
         for stream in (segments[:-2], segments + [Segment("x", 6)]):
-            with pytest.raises(OracleError):
-                oracle_examples(gold, stream, joiner=" ")
+            for build in builders:
+                with pytest.raises(OracleError):
+                    build(stream)
 
     def test_recorded_index_must_match_the_stream(self, walkthrough):
         segments, actions, _ = walkthrough
