@@ -1,17 +1,21 @@
 """Command-line surface.
 
 Subcommands: generate, chunk, train, predict, evaluate, oracle-check,
-stats. All of them read and write the JSON-lines formats described in
-``jsonio`` and drop a run manifest next to their outputs. Exit codes:
+stats. They read and write the JSON-lines formats described in
+``jsonio``. Each ``cmd_*`` returns the paths it read and wrote, as
+``(inputs, outputs)``, ``train`` also its ``extra`` record; ``main``
+times the command and writes its manifest next to the first output, so
+a run that wrote no file gets none. Exit codes:
 0 success, 1 I/O, scorer bridge, model file, option or check failure, 2
 schema violation (a stream that does not match its gold tree, too deep
-a tree), a training tree no transition sequence rebuilds (whatever the
-method: all three train from ``engine.gold_owners``), or an empty dev or
-gold corpus, 3 training failure.
+a tree), a training or dev tree no transition sequence rebuilds
+(whatever the method: all three train from ``engine.gold_owners``), or
+an empty dev or gold corpus, 3 training failure.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 import time
@@ -20,7 +24,7 @@ from contextlib import ExitStack
 
 from . import baselines, corpus, engine, jsonio, methods, metrics, scoring
 from .bridge import BridgeIO, BridgeProtocol, BridgeScorer, ScorerBridge
-from .manifest import manifest_path_for, write_manifest
+from .manifest import write_manifest
 from .scoring import EmptyTrainingSet
 from .tree import MAX_DEPTH, Segment, iter_nodes
 
@@ -31,6 +35,11 @@ JOINERS = {"none": "", "space": " "}
 
 class TrainingFailure(Exception):
     pass
+
+
+class RoundTripFailure(Exception):
+    """``oracle-check`` found a document whose gold actions do not
+    rebuild its tree."""
 
 
 def _add_joiner(parser: argparse.ArgumentParser) -> None:
@@ -130,8 +139,7 @@ def _config_snapshot(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def cmd_generate(args) -> int:
-    started = time.time()
+def cmd_generate(args):
     cfg = corpus.GenConfig(
         doc_count=args.count,
         depth_range=tuple(args.depth),
@@ -143,19 +151,10 @@ def cmd_generate(args) -> int:
     docs = corpus.generate_corpus(cfg, source=args.source)
     jsonio.write_corpus(args.out, docs)
     log.info("generated %d documents -> %s", len(docs), args.out)
-    write_manifest(
-        manifest_path_for(args.out),
-        "generate",
-        _config_snapshot(args),
-        inputs=[],
-        outputs=[args.out],
-        started=started,
-    )
-    return 0
+    return [], [args.out]
 
 
-def cmd_chunk(args) -> int:
-    started = time.time()
+def cmd_chunk(args):
     joiner = JOINERS[args.joiner]
     docs = jsonio.read_corpus(args.corpus)
     cfg = corpus.ChunkConfig(
@@ -172,15 +171,7 @@ def cmd_chunk(args) -> int:
         "chunked %d documents into %d segments -> %s, %s",
         len(docs), total, args.segments_out, args.gold_out,
     )
-    write_manifest(
-        manifest_path_for(args.segments_out),
-        "chunk",
-        _config_snapshot(args),
-        inputs=[args.corpus],
-        outputs=[args.segments_out, args.gold_out],
-        started=started,
-    )
-    return 0
+    return [args.corpus], [args.segments_out, args.gold_out]
 
 
 def _load_gold_with_segments(
@@ -228,8 +219,7 @@ def _subsample(items: list, count: int | None, seed: int) -> list:
     return [items[i] for i in order[:count]]
 
 
-def cmd_train(args) -> int:
-    started = time.time()
+def cmd_train(args):
     if not 1 <= args.max_depth < MAX_DEPTH:
         # a text leaf sits one level under the deepest heading label
         raise ValueError(f"--max-depth must lie in 1..{MAX_DEPTH - 1}, got {args.max_depth}")
@@ -242,6 +232,11 @@ def cmd_train(args) -> int:
         raise EmptyTrainingSet("the training corpus is empty")
     if not dev_pairs:
         raise metrics.EmptyEvaluation(f"the dev corpus {args.dev} is empty")
+    for doc, _ in dev_pairs:
+        try:
+            engine.gold_owners(doc.tree)
+        except engine.OracleError as exc:
+            raise engine.OracleError(f"dev document {doc.doc_id!r}: {exc}") from exc
 
     config = scoring.TrainConfig(
         learning_rate=args.lr,
@@ -271,19 +266,9 @@ def cmd_train(args) -> int:
     best_epoch = history.index(max(history)) + 1
     log.info("kept epoch %d (dev F1 %.4f) -> %s", best_epoch, max(history), args.model_out)
 
-    outputs = [args.model_out]
-    if args.dump_actions:
-        outputs.append(args.dump_actions)
-    write_manifest(
-        manifest_path_for(args.model_out),
-        "train",
-        _config_snapshot(args),
-        inputs=[p for p in (args.train, args.train_segments, args.dev, args.dev_segments) if p],
-        outputs=outputs,
-        started=started,
-        extra={"dev_f1_per_epoch": history, "best_epoch": best_epoch},
-    )
-    return 0
+    inputs = [p for p in (args.train, args.train_segments, args.dev, args.dev_segments) if p]
+    outputs = [p for p in (args.model_out, args.dump_actions) if p]
+    return inputs, outputs, {"dev_f1_per_epoch": history, "best_epoch": best_epoch}
 
 
 def _write_action_dump(path: str, train_pairs, joiner: str) -> None:
@@ -330,8 +315,6 @@ def _build_predictor(scorer_spec, method, constrained, joiner, resources: ExitSt
     child is registered with ``resources``, which closes it."""
     kind, rest = _parse_scorer_spec(scorer_spec)
     if kind == "bridge":
-        if method != "transition":
-            raise ValueError(f"method {method} requires a linear: scorer")
         heads = (BridgeScorer(resources.enter_context(ScorerBridge(rest))),)
     else:
         heads = methods.load_heads(rest, method)
@@ -342,9 +325,13 @@ def _parse_one(segments: list[Segment]):
     return _worker["parse"](segments)
 
 
-def cmd_predict(args) -> int:
-    started = time.time()
+def cmd_predict(args):
     _require_positive("--jobs", args.jobs)
+    # checked here, not in a --jobs worker, where an error breaks the pool
+    if args.method != "transition" and _parse_scorer_spec(args.scorer)[0] == "bridge":
+        raise ValueError(f"method {args.method} requires a linear: scorer")
+    if args.method != "transition" and args.unconstrained:
+        raise ValueError(f"--unconstrained needs the transition method, not {args.method}")
     joiner = JOINERS[args.joiner]
     streams = jsonio.read_streams(args.segments, joiner)
     constrained = not args.unconstrained
@@ -365,19 +352,10 @@ def cmd_predict(args) -> int:
     ]
     jsonio.write_corpus(args.out, docs)
     log.info("predicted %d documents -> %s", len(docs), args.out)
-    write_manifest(
-        manifest_path_for(args.out),
-        "predict",
-        _config_snapshot(args),
-        inputs=[args.segments],
-        outputs=[args.out],
-        started=started,
-    )
-    return 0
+    return [args.segments], [args.out]
 
 
-def cmd_evaluate(args) -> int:
-    started = time.time()
+def cmd_evaluate(args):
     gold_docs = jsonio.read_corpus(args.gold)
     pred_docs = {doc.doc_id: doc for doc in jsonio.read_corpus(args.pred)}
     reports = []
@@ -389,20 +367,8 @@ def cmd_evaluate(args) -> int:
     total = metrics.aggregate(reports)
     print(metrics.format_report(total))
     if args.out:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(total.to_dict(), handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
-        write_manifest(
-            manifest_path_for(args.out),
-            "evaluate",
-            _config_snapshot(args),
-            inputs=[args.gold, args.pred],
-            outputs=[args.out],
-            started=started,
-        )
-    return 0
+        jsonio.write_json(args.out, total.to_dict())
+    return [args.gold, args.pred], [args.out] if args.out else []
 
 
 def _check_one(payload) -> tuple[str, str | None]:
@@ -419,7 +385,7 @@ def _check_one(payload) -> tuple[str, str | None]:
     return doc.doc_id, None
 
 
-def cmd_oracle_check(args) -> int:
+def cmd_oracle_check(args):
     _require_positive("--jobs", args.jobs)
     joiner = JOINERS[args.joiner]
     pairs = _load_gold_with_segments(args.corpus, args.segments, joiner)
@@ -431,40 +397,33 @@ def cmd_oracle_check(args) -> int:
         results = [_check_one(p) for p in payloads]
     for doc_id, problem in results:
         if problem is not None:
-            print(f"round-trip failed for {doc_id}: {problem}", file=sys.stderr)
-            return 1
+            raise RoundTripFailure(f"{doc_id}: {problem}")
     print(f"oracle round-trip holds for all {len(results)} documents")
-    return 0
+    return [p for p in (args.corpus, args.segments) if p], []
 
 
-def cmd_stats(args) -> int:
-    started = time.time()
+def cmd_stats(args):
     docs = jsonio.read_corpus(args.corpus)
     rows = corpus.corpus_stats(docs)
     print(corpus.format_stats(rows))
     if args.out:
-        import json
-
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump([r.to_dict() for r in rows], handle, ensure_ascii=False, indent=2)
-            handle.write("\n")
-        write_manifest(
-            manifest_path_for(args.out),
-            "stats",
-            _config_snapshot(args),
-            inputs=[args.corpus],
-            outputs=[args.out],
-            started=started,
-        )
-    return 0
+        jsonio.write_json(args.out, [dataclasses.asdict(r) for r in rows])
+    return [args.corpus], [args.out] if args.out else []
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        inputs, outputs, *extra = args.func(args)
+        if outputs:
+            write_manifest(args.command, _config_snapshot(args), inputs, outputs, started, *extra)
+        return 0
+    except RoundTripFailure as exc:
+        print(f"round-trip failed for {exc}", file=sys.stderr)
+        return 1
     except jsonio.SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         return 2
@@ -475,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"nothing to evaluate: {exc}", file=sys.stderr)
         return 2
     except engine.OracleError as exc:
-        print(f"no transition sequence rebuilds a training tree: {exc}", file=sys.stderr)
+        print(f"no transition sequence rebuilds a gold tree: {exc}", file=sys.stderr)
         return 2
     except (BridgeIO, BridgeProtocol) as exc:
         print(f"scorer bridge failed: {exc}", file=sys.stderr)

@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .jsonio import Document, SegmentStream
+from .metrics import format_table
 from .tree import (
     MAX_DEPTH,
     CatalogNode,
@@ -393,18 +394,17 @@ def segments_of(tree: CatalogTree) -> list[Segment]:
     is then the segment text). Multi-piece nodes need the original
     stream file.
     """
-    nodes = sorted(
-        ((node.source_segments, node) for node, _ in iter_nodes(tree)),
-        key=lambda pair: pair[0][0] if pair[0] else -1,
-    )
     segments = []
-    for indices, node in nodes:
-        if len(indices) != 1:
+    for node, level in iter_nodes(tree):
+        if not node.source_segments:
+            raise ValueError(f"a {node.kind.value} node at level {level} owns no segment")
+        if len(node.source_segments) != 1:
             raise ValueError(
                 "segment texts are not recoverable from a multi-piece node; "
                 "provide the segment stream file"
             )
-        segments.append(Segment(text=node.content, index=indices[0]))
+        segments.append(Segment(text=node.content, index=node.source_segments[0]))
+    segments.sort(key=lambda s: s.index)
     if [s.index for s in segments] != list(range(len(segments))):
         raise ValueError("tree does not carry a contiguous trivial segmentation")
     return segments
@@ -441,17 +441,6 @@ class SourceStats:
     avg_text_nodes: float = 0.0
     avg_total_nodes: float = 0.0
     avg_depth: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "docs": self.docs,
-            "avg_length": self.avg_length,
-            "avg_heading_nodes": self.avg_heading_nodes,
-            "avg_text_nodes": self.avg_text_nodes,
-            "avg_total_nodes": self.avg_total_nodes,
-            "avg_depth": self.avg_depth,
-        }
 
 
 def corpus_stats(docs: Sequence[Document]) -> list[SourceStats]:
@@ -506,11 +495,4 @@ def format_stats(rows: Sequence[SourceStats]) -> str:
                 f"{r.avg_depth:.2f}",
             )
         )
-    widths = [max(len(row[i]) for row in table) for i in range(len(header))]
-    lines = []
-    for row in table:
-        cells = [row[0].ljust(widths[0])] + [
-            cell.rjust(widths[i]) for i, cell in enumerate(row) if i > 0
-        ]
-        lines.append("  ".join(cells))
-    return "\n".join(lines)
+    return format_table(table)

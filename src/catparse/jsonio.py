@@ -10,6 +10,8 @@ Three line-oriented formats are used throughout:
 * action dumps (training supervision):
   ``{"doc_id", "step", "s_kind", "s_content", "q_content", "gold_action"}``
 
+Reports and run manifests are one indented JSON value (``write_json``).
+
 All files are UTF-8. Parsing validates the schema and reports the path of
 the offending field; strings UTF-8 cannot encode (lone surrogates), trees
 deeper than ``MAX_DEPTH`` and JSON nested past the parser's recursion
@@ -236,3 +238,9 @@ def write_action_dump(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for row in rows:
             handle.write(_dump_line(row) + "\n")
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(obj, handle, ensure_ascii=False, indent=2)
+        handle.write("\n")

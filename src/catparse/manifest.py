@@ -1,20 +1,19 @@
-"""Run manifests: a small JSON record written next to command outputs."""
+"""Run manifests: a small JSON record, ``<first output>.manifest.json``,
+that ``cli.main`` writes for every command that wrote a file."""
 from __future__ import annotations
 
-import json
 import platform
 import sys
 import time
-from pathlib import Path
 from typing import Any
 
 import numpy
 
 from . import __version__
+from .jsonio import write_json
 
 
 def write_manifest(
-    path: str | Path,
     command: str,
     config: dict[str, Any],
     inputs: list[str],
@@ -22,7 +21,8 @@ def write_manifest(
     started: float,
     extra: dict[str, Any] | None = None,
 ) -> None:
-    """Record what a run did: command, config snapshot, paths, timing.
+    """Record what a run did next to its first output: command, config
+    snapshot, paths, timing.
 
     Timing fields vary between runs; everything else is reproducible for
     a fixed seed.
@@ -43,10 +43,4 @@ def write_manifest(
     }
     if extra:
         record["extra"] = extra
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(record, handle, ensure_ascii=False, indent=2)
-        handle.write("\n")
-
-
-def manifest_path_for(output: str | Path) -> Path:
-    return Path(str(output) + ".manifest.json")
+    write_json(f"{outputs[0]}.manifest.json", record)

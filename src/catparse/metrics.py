@@ -139,6 +139,11 @@ def format_report(report: EvalReport) -> str:
     for level in sorted(report.by_level):
         add(f"level {level}", report.by_level[level])
 
+    return format_table(rows)
+
+
+def format_table(rows: Sequence[Sequence[str]]) -> str:
+    """Align ``rows`` of cells: the first column left, the others right."""
     widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
     lines = []
     for row in rows:

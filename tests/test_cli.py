@@ -243,12 +243,9 @@ UNUSABLE_TREES = {
 
 
 @pytest.mark.parametrize("shape", sorted(UNUSABLE_TREES))
-def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, shape):
-    assert run(
-        "oracle-check",
-        "--corpus", workspace / "gold.jsonl",
-        "--segments", workspace / "segs.jsonl",
-    ) == 0
+def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, caplog, shape):
+    gold, gold_segs = workspace / "gold.jsonl", workspace / "segs.jsonl"
+    assert run("oracle-check", "--corpus", gold, "--segments", gold_segs) == 0
     children, root_segments, owned = UNUSABLE_TREES[shape]
     root = {"kind": "root", "content": "", "segments": root_segments, "children": children}
     bad = tmp_path / "bad.jsonl"
@@ -262,29 +259,41 @@ def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, shape):
     for method in ("transition", "pipeline", "tagging"):
         assert run(
             "train", "--method", method, "--train", bad, "--train-segments", segs,
-            "--dev", bad, "--dev-segments", segs, "--model-out", tmp_path / "m.bin",
+            "--dev", gold, "--dev-segments", gold_segs, "--model-out", tmp_path / "m.bin",
             "--epochs", "1",
         ) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "no transition sequence" in err[0]
+    # a dev tree is checked before any epoch runs, and named
+    assert run(
+        "train", "--train", gold, "--train-segments", gold_segs, "--dev", bad,
+        "--dev-segments", segs, "--model-out", tmp_path / "m.bin", "--epochs", "1",
+    ) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "no transition sequence" in err[0] and "'broken'" in err[0]
+    assert not any("epoch" in record.getMessage() for record in caplog.records)
     assert not (tmp_path / "m.bin").exists()
 
 
 @pytest.mark.parametrize(
-    "command,option,value,message",
+    "command,flags,message",
     [
-        ("train", "--lr", "nan", "learning rate"),
-        ("train", "--lr", "inf", "learning rate"),
-        ("train", "--weight-decay", "nan", "weight decay"),
-        ("train", "--subsample", "0", "--subsample"),
-        ("train", "--subsample", "-1", "--subsample"),
-        ("predict", "--jobs", "-2", "--jobs"),
-        ("oracle-check", "--jobs", "0", "--jobs"),
+        ("train", ["--lr", "nan"], "learning rate"),
+        ("train", ["--lr", "inf"], "learning rate"),
+        ("train", ["--weight-decay", "nan"], "weight decay"),
+        ("train", ["--subsample", "0"], "--subsample"),
+        ("train", ["--subsample", "-1"], "--subsample"),
+        ("predict", ["--jobs", "-2"], "--jobs"),
+        ("oracle-check", ["--jobs", "0"], "--jobs"),
+        ("predict", ["--method", "pipeline", "--unconstrained"], "--unconstrained"),
+        ("predict", ["--method", "tagging", "--unconstrained"], "--unconstrained"),
+        # checked before any --jobs worker starts
+        ("predict", ["--method", "tagging", "--jobs", "2", "--scorer", "bridge:cat"], "linear:"),
     ],
     ids=["lr-nan", "lr-inf", "decay-nan", "subsample-0", "subsample-neg", "predict-jobs",
-         "check-jobs"],
+         "check-jobs", "pipeline-unconstrained", "tagging-unconstrained", "tagging-bridge"],
 )
-def test_option_out_of_range_exits_1(workspace, capsys, command, option, value, message):
+def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message):
     gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"
     save_model(LinearModel.create(dim=128), model)
     rest = {
@@ -294,7 +303,7 @@ def test_option_out_of_range_exits_1(workspace, capsys, command, option, value, 
                     "--out", workspace / "pred.jsonl"],
         "oracle-check": ["--corpus", gold, "--segments", segs],
     }[command]
-    assert run(command, option, value, *rest) == 1
+    assert run(command, *rest, *flags) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and message in err[0]
     assert not (workspace / "out.bin").exists() and not (workspace / "pred.jsonl").exists()
@@ -302,6 +311,31 @@ def test_option_out_of_range_exits_1(workspace, capsys, command, option, value, 
 
 def test_oracle_check_without_streams_uses_trivial_segments(workspace):
     assert run("oracle-check", "--corpus", workspace / "docs.jsonl") == 0
+
+
+def test_manifest_sits_next_to_the_first_output(workspace):
+    gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"
+    pred, report, stats = (workspace / name for name in ("pred.jsonl", "report.json", "stats.json"))
+    save_model(LinearModel.create(dim=128), model)
+    runs = {
+        "predict": (["--segments", segs, "--scorer", f"linear:{model}", "--out", pred],
+                    [segs], [pred]),
+        "evaluate": (["--gold", gold, "--pred", pred, "--out", report], [gold, pred], [report]),
+        "stats": (["--corpus", gold, "--out", stats], [gold], [stats]),
+    }
+    for command, (argv, inputs, outputs) in runs.items():
+        assert run(command, *argv) == 0
+        manifest = json.loads((workspace / f"{outputs[0].name}.manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["inputs"] == [str(p) for p in inputs]
+        assert manifest["outputs"] == [str(p) for p in outputs]
+
+    # commands that write no file write no manifest
+    before = sorted(workspace.glob("*.manifest.json"))
+    assert run("oracle-check", "--corpus", gold, "--segments", segs) == 0
+    assert run("evaluate", "--gold", gold, "--pred", pred) == 0
+    assert run("stats", "--corpus", gold) == 0
+    assert sorted(workspace.glob("*.manifest.json")) == before
 
 
 def test_stats_command(workspace, capsys):
