@@ -290,15 +290,18 @@ def _write_action_dump(path: str, train_pairs, joiner: str) -> None:
     jsonio.write_action_dump(path, rows)
 
 
-# Worker state for --jobs parallelism. Each worker process builds its own
-# parser once; document order is preserved by the executor. A worker's
-# bridge child is never closed explicitly: it gets end-of-input when the
-# worker exits.
+# Worker state for --jobs parallelism. Each worker process builds its
+# parser once, from the heads the parent loaded or, with a bridge scorer,
+# from a bridge child of its own; document order is preserved by the
+# executor. A worker's bridge child is never closed explicitly: it gets
+# end-of-input when the worker exits.
 _worker: dict = {}
 
 
-def _init_worker(scorer_spec: str, method: str, constrained: bool, joiner: str) -> None:
-    _worker["parse"] = _build_predictor(scorer_spec, method, constrained, joiner, ExitStack())
+def _init_worker(heads, scorer_spec: str, method: str, constrained: bool, joiner: str) -> None:
+    if not heads:
+        heads = _load_heads(scorer_spec, method, ExitStack())
+    _worker["parse"] = methods.parser_for(method, heads, constrained, joiner)
 
 
 def _parse_scorer_spec(spec: str) -> tuple[str, str]:
@@ -310,15 +313,13 @@ def _parse_scorer_spec(spec: str) -> tuple[str, str]:
     return kind, rest
 
 
-def _build_predictor(scorer_spec, method, constrained, joiner, resources: ExitStack):
-    """Load the heads ``scorer_spec`` names and return their parser; a bridge
-    child is registered with ``resources``, which closes it."""
+def _load_heads(scorer_spec, method, resources: ExitStack) -> tuple:
+    """Load the heads ``scorer_spec`` names; a bridge child is registered
+    with ``resources``, which closes it."""
     kind, rest = _parse_scorer_spec(scorer_spec)
     if kind == "bridge":
-        heads = (BridgeScorer(resources.enter_context(ScorerBridge(rest))),)
-    else:
-        heads = methods.load_heads(rest, method)
-    return methods.parser_for(method, heads, constrained, joiner)
+        return (BridgeScorer(resources.enter_context(ScorerBridge(rest))),)
+    return methods.load_heads(rest, method)
 
 
 def _parse_one(segments: list[Segment]):
@@ -328,23 +329,28 @@ def _parse_one(segments: list[Segment]):
 def cmd_predict(args):
     _require_positive("--jobs", args.jobs)
     # checked here, not in a --jobs worker, where an error breaks the pool
-    if args.method != "transition" and _parse_scorer_spec(args.scorer)[0] == "bridge":
+    bridge = _parse_scorer_spec(args.scorer)[0] == "bridge"
+    if args.method != "transition" and bridge:
         raise ValueError(f"method {args.method} requires a linear: scorer")
     if args.method != "transition" and args.unconstrained:
         raise ValueError(f"--unconstrained needs the transition method, not {args.method}")
     joiner = JOINERS[args.joiner]
     streams = jsonio.read_streams(args.segments, joiner)
     constrained = not args.unconstrained
-    if args.jobs > 1:
-        with ProcessPoolExecutor(
-            max_workers=args.jobs,
-            initializer=_init_worker,
-            initargs=(args.scorer, args.method, constrained, joiner),
-        ) as pool:
-            trees = list(pool.map(_parse_one, [s.segments for s in streams]))
-    else:
-        with ExitStack() as resources:
-            parse = _build_predictor(args.scorer, args.method, constrained, joiner, resources)
+    with ExitStack() as resources:
+        # model files too are read and checked before any worker starts
+        heads = ()
+        if not (bridge and args.jobs > 1):
+            heads = _load_heads(args.scorer, args.method, resources)
+        if args.jobs > 1:
+            with ProcessPoolExecutor(
+                max_workers=args.jobs,
+                initializer=_init_worker,
+                initargs=(heads, args.scorer, args.method, constrained, joiner),
+            ) as pool:
+                trees = list(pool.map(_parse_one, [s.segments for s in streams]))
+        else:
+            parse = methods.parser_for(args.method, heads, constrained, joiner)
             trees = [parse(s.segments) for s in streams]
     docs = [
         jsonio.Document(doc_id=stream.doc_id, source="", tree=tree)

@@ -12,9 +12,13 @@ and the n-gram counts are L2-normalized; external scorers can rebuild
 the features from this formula. A ``LinearModel`` is itself an
 ``ActionScorer``, and ``dim`` is the width of its weights. Training
 minimizes mean cross-entropy with adaptive moment estimation and
-decoupled weight decay; moment updates are applied lazily per touched
-feature column, so cost scales with the sparse footprint of each batch
-rather than the full dimension.
+decoupled weight decay. It runs in a compact column space: the indicator
+block plus the n-gram columns the training examples touch, renumbered in
+order, so the weights and both moments are as wide as that footprint,
+not ``dim``. Each batch updates only its own columns, catching up lazily
+on the steps they skipped. The dense model gets the compact weights at
+every epoch's end; a column no example touches stays exactly 0, so the
+model bytes are those of training over all ``dim`` columns.
 """
 from __future__ import annotations
 
@@ -420,8 +424,11 @@ def loss_and_grad(
     rows = np.repeat(np.arange(len(feats)), [len(indices) for indices, _ in feats])
     cols, inverse = np.unique(all_cols, return_inverse=True)
     contrib = errors[rows] * all_vals[:, None]
-    grad_t = np.zeros((len(cols), model.classes), dtype=np.float64)
-    np.add.at(grad_t, inverse, contrib)
+    # bincount adds each column's contributions in input order, starting
+    # from 0, so its sums equal a sequential scatter-add bit for bit
+    grad_t = np.stack(
+        [np.bincount(inverse, weights=w, minlength=len(cols)) for w in contrib.T], axis=1
+    )
     scale = 1.0 / len(feats)
     return float(loss * scale), cols, grad_t.T * scale, errors.sum(axis=0) * scale
 
@@ -450,13 +457,30 @@ def train(
     if config.class_weighting:
         class_weights = inverse_frequency_weights(labels, classes)
 
-    moment1 = np.zeros_like(model.weights)
-    moment2 = np.zeros_like(model.weights)
-    bias_m1 = np.zeros_like(model.bias)
-    bias_m2 = np.zeros_like(model.bias)
-    last_step = np.zeros(dim, dtype=np.int64)
+    # The compact head's column u is the model's column used[u]. The map
+    # is monotone, so every sorted column order stays the same. With the
+    # indicator block and at least one gram per example, the head is wider
+    # than the indicator block, as LinearModel requires.
+    all_indices = np.concatenate([indices for indices, _ in feats])
+    used = np.union1d(np.arange(INDICATOR_SLOTS), all_indices)
+    ends = np.cumsum([len(indices) for indices, _ in feats])[:-1]
+    compact = np.split(np.searchsorted(used, all_indices), ends)
+    feats = [(indices, values) for indices, (_, values) in zip(compact, feats)]
+    head = LinearModel.create(dim=len(used), classes=classes, hash_seed=config.seed)
+
+    # The moments are column-major: one row per column, gathered at once.
+    moment1 = np.zeros((len(used), classes), dtype=np.float64)
+    moment2 = np.zeros_like(moment1)
+    bias_m1 = np.zeros_like(head.bias)
+    bias_m2 = np.zeros_like(head.bias)
+    last_step = np.zeros(len(used), dtype=np.int64)
     step = 0
     lr, decay = config.learning_rate, config.weight_decay
+
+    def publish() -> None:
+        _settle_decay(head, last_step, step, lr, decay)
+        model.weights[:, used] = head.weights
+        model.bias[:] = head.bias
 
     rng = np.random.default_rng(config.seed)
     n = len(examples)
@@ -466,36 +490,39 @@ def train(
             batch = order[start : start + config.batch_size]
             step += 1
             _, cols, grad, bias_grad = loss_and_grad(
-                model, [feats[j] for j in batch], labels[batch], class_weights
+                head, [feats[j] for j in batch], labels[batch], class_weights
             )
+            grad = grad.T
+            m1, m2, weights = moment1[cols], moment2[cols], head.weights[:, cols]
 
             # Catch up lazily skipped steps: decay moments and apply the
             # decoupled weight decay those columns would have received.
             lag = (step - 1) - last_step[cols]
-            moment1[:, cols] *= _BETA1 ** lag
-            moment2[:, cols] *= _BETA2 ** lag
-            model.weights[:, cols] *= (1.0 - lr * decay) ** lag
+            m1 *= (_BETA1 ** lag)[:, None]
+            m2 *= (_BETA2 ** lag)[:, None]
+            weights *= (1.0 - lr * decay) ** lag
             last_step[cols] = step
 
-            moment1[:, cols] = _BETA1 * moment1[:, cols] + (1 - _BETA1) * grad
-            moment2[:, cols] = _BETA2 * moment2[:, cols] + (1 - _BETA2) * grad**2
-            m_hat = moment1[:, cols] / (1 - _BETA1**step)
-            v_hat = moment2[:, cols] / (1 - _BETA2**step)
-            model.weights[:, cols] = model.weights[:, cols] * (1.0 - lr * decay) - (
+            m1 = _BETA1 * m1 + (1 - _BETA1) * grad
+            m2 = _BETA2 * m2 + (1 - _BETA2) * grad**2
+            moment1[cols], moment2[cols] = m1, m2
+            m_hat = m1 / (1 - _BETA1**step)
+            v_hat = m2 / (1 - _BETA2**step)
+            head.weights[:, cols] = weights * (1.0 - lr * decay) - (
                 lr * m_hat / (np.sqrt(v_hat) + _EPS)
-            )
+            ).T
 
             bias_m1 = _BETA1 * bias_m1 + (1 - _BETA1) * bias_grad
             bias_m2 = _BETA2 * bias_m2 + (1 - _BETA2) * bias_grad**2
             b_hat1 = bias_m1 / (1 - _BETA1**step)
             b_hat2 = bias_m2 / (1 - _BETA2**step)
-            model.bias -= lr * b_hat1 / (np.sqrt(b_hat2) + _EPS)
+            head.bias -= lr * b_hat1 / (np.sqrt(b_hat2) + _EPS)
 
         if epoch_callback is not None:
-            _settle_decay(model, last_step, step, lr, decay)
+            publish()
             epoch_callback(epoch, model)
 
-    _settle_decay(model, last_step, step, lr, decay)
+    publish()
     return model
 
 

@@ -579,6 +579,31 @@ def test_invalid_model_file_exits_1(workspace, capsys, method, content, message)
     assert len(err) == 1 and message in err[0]
 
 
+@pytest.mark.parametrize(
+    "content,message",
+    [
+        (None, "file not found"),
+        (small_container(b"XXXX", 128, 4), "expected magic"),
+        # a pipeline model file read by the (default) transition method
+        (small_container(b"CTXC", 128, 2) + small_container(b"CTXL", 128, 9), "expected magic"),
+    ],
+    ids=["missing", "wrong-magic", "wrong-method"],
+)
+def test_bad_model_file_with_jobs_exits_1(workspace, capsys, content, message):
+    """The parent reads the model file before the worker pool starts, so a
+    bad one ends in one line, as with --jobs 1, not a broken pool."""
+    model, pred = workspace / "bad.bin", workspace / "pred.jsonl"
+    if content is not None:
+        model.write_bytes(content)
+    assert run(
+        "predict", "--segments", workspace / "segs.jsonl", "--scorer", f"linear:{model}",
+        "--out", pred, "--jobs", "2",
+    ) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err and "Traceback" not in err
+    assert not pred.exists()
+
+
 def test_pipeline_heads_of_different_dimensions_predict(workspace):
     rng = np.random.default_rng(4)
     # the level head is the narrower one: hashing its inputs to the merge

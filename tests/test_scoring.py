@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catparse.corpus import ChunkConfig, GenConfig, chunk_corpus, generate_corpus
+from catparse.engine import oracle_examples
 from catparse.scoring import (
+    DEFAULT_DIM,
     INDICATOR_SLOTS,
     MODEL_MAGIC,
     ActionScores,
@@ -25,6 +28,7 @@ from catparse.scoring import (
 from catparse.tree import Action, NodeKind
 
 from .featurize_reference import reference_featurize
+from .train_reference import reference_loss_and_grad, reference_train
 
 SMALL_DIM = 1 << 14
 
@@ -183,12 +187,26 @@ def separable_examples():
     ]
 
 
+@pytest.fixture(scope="module")
+def oracle_inputs():
+    """Oracle examples of six generated documents: 393 inputs, whose
+    texts share many n-gram columns."""
+    docs = generate_corpus(GenConfig(doc_count=6, seed=23))
+    streams, gold_docs = chunk_corpus(docs, ChunkConfig(seed=23))
+    return [
+        ex for stream, gdoc in zip(streams, gold_docs)
+        for ex in oracle_examples(gdoc.tree, stream.segments)
+    ]
+
+
+def relabelled(examples, classes, seed=0):
+    labels = np.random.default_rng(seed).integers(classes, size=len(examples))
+    return [(example, int(label)) for (example, _), label in zip(examples, labels)]
+
+
 def test_trained_model_opens_numbered_heading_at_root():
     """After training on generator output, a fresh numbered title at the
     root should come out as a child heading, held-out or not."""
-    from catparse.corpus import ChunkConfig, GenConfig, chunk_corpus, generate_corpus
-    from catparse.engine import oracle_examples
-
     docs = generate_corpus(GenConfig(doc_count=16, seed=19))
     streams, gold_docs = chunk_corpus(docs, ChunkConfig(seed=19))
     examples = []
@@ -254,6 +272,67 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(ValueError):
             TrainConfig(weight_decay=0.0)
+
+
+# train over oracle_inputs (class weighting, batch 7, 3 epochs, seed 11,
+# dim 2**14) gave these weight and bias bytes before training moved to
+# the compact column space.
+PINNED_TRAIN_SHA256 = "3f28acd3bff959f78fd1675827247c45556dc44dcbdf805e1cd6923a615f6962"
+
+
+def snapshot(model):
+    return model.weights.tobytes() + model.bias.tobytes()
+
+
+def assert_trains_like_reference(examples, config, classes, dim):
+    seen, expected = [], []
+    model = train(examples, config, classes, dim, lambda e, m: seen.append(snapshot(m)))
+    ref = reference_train(examples, config, classes, dim, lambda e, m: expected.append(snapshot(m)))
+    assert snapshot(model) == snapshot(ref)
+    assert seen == expected and len(seen) == config.epochs
+
+
+class TestTrainMatchesDenseReference:
+    @pytest.mark.parametrize("dim", [SMALL_DIM, DEFAULT_DIM], ids=["small", "default"])
+    @pytest.mark.parametrize("batch_size", [1, 20, 1000])
+    @pytest.mark.parametrize("weighting", [False, True], ids=["plain", "weighted"])
+    @pytest.mark.parametrize("classes", [2, 4, 9, 18])
+    def test_bytes_and_epoch_snapshots(self, oracle_inputs, classes, weighting, batch_size, dim):
+        config = TrainConfig(epochs=2, batch_size=batch_size, seed=3, class_weighting=weighting)
+        assert_trains_like_reference(relabelled(oracle_inputs[:60], classes), config, classes, dim)
+
+    @pytest.mark.parametrize("dim", [INDICATOR_SLOTS + 1, SMALL_DIM, DEFAULT_DIM])
+    def test_one_example(self, oracle_inputs, dim):
+        config = TrainConfig(epochs=3, seed=1, class_weighting=True)
+        assert_trains_like_reference(relabelled(oracle_inputs[:1], 9), config, 9, dim)
+
+    def test_pinned_digest(self, oracle_inputs):
+        config = TrainConfig(epochs=3, batch_size=7, seed=11, class_weighting=True)
+        model = train(oracle_inputs, config, dim=SMALL_DIM)
+        digest = hashlib.sha256(model.weights.astype("<f8").tobytes())
+        digest.update(model.bias.astype("<f8").tobytes())
+        assert digest.hexdigest() == PINNED_TRAIN_SHA256
+
+    @pytest.mark.parametrize("classes", [4, 18])
+    def test_gradient_bytes_on_shared_columns(self, oracle_inputs, classes):
+        rng = np.random.default_rng(classes)
+        model = LinearModel.create(dim=SMALL_DIM, classes=classes)
+        model.weights[:] = rng.normal(size=model.weights.shape)
+        model.bias[:] = rng.normal(size=classes)
+        examples = relabelled(oracle_inputs[:120], classes)
+        feats = [featurize(example, 0, SMALL_DIM) for example, _ in examples]
+        labels = np.array([label for _, label in examples])
+        weights = inverse_frequency_weights(labels, classes)
+        for start in range(0, len(feats), 30):
+            batch = feats[start : start + 30]
+            got = loss_and_grad(model, batch, labels[start : start + 30], weights)
+            want = reference_loss_and_grad(model, batch, labels[start : start + 30], weights)
+            # the batch's examples share most of their columns
+            assert 2 * len(got[1]) < sum(len(indices) for indices, _ in batch)
+            assert got[0] == want[0]
+            for mine, theirs in zip(got[1:], want[1:]):
+                assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
 
 
 class TestGradient:
