@@ -26,6 +26,7 @@ from .scoring import (  # noqa: F401
     ScoringInput,
     TrainConfig,
     featurize,
+    featurize_many,
     load_model,
     save_model,
     score,

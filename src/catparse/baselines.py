@@ -21,7 +21,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import engine
-from .scoring import LinearModel, ScoringInput, featurize
+# ``featurize`` is not called here. The benchmark's tracer wraps it at
+# every name a caller may look it up by, ``baselines.featurize`` among
+# them (perfbench/workload.py), so the name stays bound.
+from .scoring import LinearModel, ScoringInput, featurize, featurize_many  # noqa: F401
 from .tree import (
     CatalogNode,
     CatalogTree,
@@ -173,9 +176,10 @@ def rebuild_from_levels(units: Sequence[Unit]) -> CatalogTree:
     return tree
 
 
-def _predict_class(model: LinearModel, inp: ScoringInput) -> int:
-    indices, values = featurize(inp, model.hash_seed, model.dim)
-    return int(model.logits_for(indices, values).argmax())
+def _predict_classes(model: LinearModel, inputs: Sequence[ScoringInput]) -> list[int]:
+    """The argmax class of each input, featurized in one batch."""
+    feats = featurize_many(inputs, model.hash_seed, model.dim)
+    return [int(model.logits_for(indices, values).argmax()) for indices, values in feats]
 
 
 def _merge_segments(
@@ -209,20 +213,14 @@ def pipeline_predict(
     if not segments:
         return CatalogTree.empty()
     max_depth = level_model.classes - 1
-    merge_after = [False] * len(segments)
-    for i in range(1, len(segments)):
-        pair = _pair_input(segments[i - 1], segments[i])
-        merge_after[i] = _predict_class(concat_model, pair) == MERGE
-    units = []
-    for content, seg_indices in _merge_segments(segments, merge_after, joiner):
-        cls = _predict_class(level_model, _unit_input(content))
-        units.append(
-            Unit(
-                level=class_to_level(cls, max_depth),
-                content=content,
-                segments=seg_indices,
-            )
-        )
+    pairs = [_pair_input(segments[i - 1], segments[i]) for i in range(1, len(segments))]
+    merge_after = [False] + [cls == MERGE for cls in _predict_classes(concat_model, pairs)]
+    merged = _merge_segments(segments, merge_after, joiner)
+    classes = _predict_classes(level_model, [_unit_input(content) for content, _ in merged])
+    units = [
+        Unit(level=class_to_level(cls, max_depth), content=content, segments=seg_indices)
+        for cls, (content, seg_indices) in zip(classes, merged)
+    ]
     return rebuild_from_levels(units)
 
 
@@ -242,8 +240,8 @@ def tagging_predict(
     max_depth = tag_model.classes // 2 - 1
     levels: list[int] = []
     merge_after: list[bool] = []
-    for i in range(len(segments)):
-        cls = _predict_class(tag_model, _tag_input(segments, i))
+    inputs = [_tag_input(segments, i) for i in range(len(segments))]
+    for i, cls in enumerate(_predict_classes(tag_model, inputs)):
         level = class_to_level(cls // 2, max_depth)
         # every segment of a span carries the span's level
         merge_after.append(cls % 2 == 1 and i > 0 and levels[-1] == level)

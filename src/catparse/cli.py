@@ -122,7 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle-check", help="verify gold action round-trips")
     p.add_argument("--corpus", required=True)
     p.add_argument("--segments", help="segment stream (needed for chunked corpora)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
     _add_joiner(p)
     p.set_defaults(func=cmd_oracle_check)
 
@@ -291,17 +290,17 @@ def _write_action_dump(path: str, train_pairs, joiner: str) -> None:
 
 
 # Worker state for --jobs parallelism. Each worker process builds its
-# parser once, from the heads the parent loaded or, with a bridge scorer,
-# from a bridge child of its own; document order is preserved by the
-# executor. A worker's bridge child is never closed explicitly: it gets
-# end-of-input when the worker exits.
+# parser on its first document, from the heads the parent loaded or, with
+# a bridge scorer, from a bridge child of its own; a child that cannot
+# start then fails that document, and the error comes back through its
+# future. Document order is preserved by the executor. A worker's bridge
+# child is never closed explicitly: it gets end-of-input when the worker
+# exits.
 _worker: dict = {}
 
 
 def _init_worker(heads, scorer_spec: str, method: str, constrained: bool, joiner: str) -> None:
-    if not heads:
-        heads = _load_heads(scorer_spec, method, ExitStack())
-    _worker["parse"] = methods.parser_for(method, heads, constrained, joiner)
+    _worker["setup"] = (heads, scorer_spec, method, constrained, joiner)
 
 
 def _parse_scorer_spec(spec: str) -> tuple[str, str]:
@@ -323,6 +322,11 @@ def _load_heads(scorer_spec, method, resources: ExitStack) -> tuple:
 
 
 def _parse_one(segments: list[Segment]):
+    if "parse" not in _worker:
+        heads, scorer_spec, method, constrained, joiner = _worker["setup"]
+        if not heads:
+            heads = _load_heads(scorer_spec, method, ExitStack())
+        _worker["parse"] = methods.parser_for(method, heads, constrained, joiner)
     return _worker["parse"](segments)
 
 
@@ -377,34 +381,27 @@ def cmd_evaluate(args):
     return [args.gold, args.pred], [args.out] if args.out else []
 
 
-def _check_one(payload) -> tuple[str, str | None]:
-    doc, segments, joiner = payload
+def _check_one(doc: jsonio.Document, segments: list[Segment], joiner: str) -> str | None:
     try:
         actions = engine.oracle_actions(doc.tree)
         rebuilt = engine.replay_actions(actions, segments, joiner)
     except engine.OracleError as exc:
-        return doc.doc_id, f"oracle failed: {exc}"
+        return f"oracle failed: {exc}"
     except Exception as exc:  # noqa: BLE001 - reported as a counterexample
-        return doc.doc_id, f"replay failed: {exc}"
+        return f"replay failed: {exc}"
     if rebuilt != doc.tree:
-        return doc.doc_id, "replayed tree differs from gold"
-    return doc.doc_id, None
+        return "replayed tree differs from gold"
+    return None
 
 
 def cmd_oracle_check(args):
-    _require_positive("--jobs", args.jobs)
     joiner = JOINERS[args.joiner]
     pairs = _load_gold_with_segments(args.corpus, args.segments, joiner)
-    payloads = [(doc, segments, joiner) for doc, segments in pairs]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_check_one, payloads))
-    else:
-        results = [_check_one(p) for p in payloads]
-    for doc_id, problem in results:
+    for doc, segments in pairs:
+        problem = _check_one(doc, segments, joiner)
         if problem is not None:
-            raise RoundTripFailure(f"{doc_id}: {problem}")
-    print(f"oracle round-trip holds for all {len(results)} documents")
+            raise RoundTripFailure(f"{doc.doc_id}: {problem}")
+    print(f"oracle round-trip holds for all {len(pairs)} documents")
     return [p for p in (args.corpus, args.segments) if p], []
 
 

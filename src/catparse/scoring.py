@@ -29,6 +29,7 @@ import struct
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -204,20 +205,35 @@ def _crc32_table() -> np.ndarray:
 _CRC32_TABLE = _crc32_table()
 
 
-def _hash_ngrams(
-    focus: str, segment: str, seed: int, buckets: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted n-gram features of ``^focus$`` and ``^segment$`` (formula in
-    the module docstring, ``buckets = dim - INDICATOR_SLOTS``) with their
-    counts.
+# About this many characters go through one kernel call; a bigger chunk
+# holds more per-character arrays at once and runs no faster.
+HASH_CHUNK_CHARS = 50_000
 
-    Both padded texts go through one table-driven CRC-32 pass, equal to
-    ``zlib.crc32`` bit for bit: one register per starting character
-    absorbs the bytes of that character, then of the next two, and is read
-    out after each, which gives all three gram lengths at once; grams that
-    run from one text into the other are dropped.
+
+def _hash_ngrams(
+    rows: Sequence[tuple[str, str]], seed: int, buckets: int
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Sorted n-gram features of each row's ``^focus$`` and ``^segment$``
+    (formula in the module docstring, ``buckets = dim - INDICATOR_SLOTS``)
+    with their counts, for many (focus, segment) rows at once.
+
+    Returns the columns and counts of all rows back to back, row by row,
+    and the offset where each row's run ends. All padded texts go through
+    one table-driven CRC-32 pass, equal to ``zlib.crc32`` bit for bit: one
+    register per starting character absorbs the bytes of that character,
+    then of the next two, and is read out after each, which gives all
+    three gram lengths at once. Each text's grams are taken as a slice, so
+    grams that run from one text into the next are dropped. One
+    ``np.unique`` keyed by ``row * buckets + column`` then counts each
+    row's columns apart from its neighbours' (one row is keyed by its
+    column alone).
     """
-    text = "^" + focus + "$^" + segment + "$"
+    text = "".join(["^" + focus + "$^" + segment + "$" for focus, segment in rows])
+    lengths: list[int] = []
+    for focus, segment in rows:
+        lengths += (len(focus) + 2, len(segment) + 2)
+    ends = list(accumulate(lengths))
+    spans = list(zip([0] + ends, ends))
     # Four NUL bytes after the text: the first marks the end of the last
     # character, all four keep byte reads of a 4-byte character in range.
     data = np.frombuffer((text + "\0\0\0\0").encode("utf-8"), np.uint8)
@@ -228,36 +244,42 @@ def _hash_ngrams(
     # columns[k][c]: byte k of character c (a later character's byte, or
     # NUL, where c is shorter; masked out below).
     columns = [data[starts + k] for k in range(width)]
-    # A CRC-32 register holds the complement of the running value.
-    split = len(focus) + 2
+    # wider[k][c]: character c has a byte k (every character has byte 0).
+    wider = [None] + [widths > k for k in range(1, width)]
+    # A CRC-32 register holds the complement of the running value. Each
+    # row's focus text starts from the focus namespace, its segment text
+    # from the segment namespace.
     register = np.full(len(text), zlib.crc32(b"q:", seed & 0xFFFFFFFF) ^ 0xFFFFFFFF, np.uint32)
-    register[:split] = zlib.crc32(b"s:", seed & 0xFFFFFFFF) ^ 0xFFFFFFFF
+    focus_start = zlib.crc32(b"s:", seed & 0xFFFFFFFF) ^ 0xFFFFFFFF
+    for start, end in spans[::2]:
+        register[start:end] = focus_start
     grams = []
     for n in range(3):
         # The register of the gram starting at character i absorbs character i+n.
         register = register[: len(text) - n]
         for k in range(width):
             update = _CRC32_TABLE[(register ^ columns[k][n:]) & 0xFF] ^ (register >> 8)
-            register = update if k == 0 else np.where(widths[n:] > k, update, register)
-        # Grams starting in the focus's last n characters run into the segment.
-        grams += [register[: split - n], register[split:]]
-    crc = ~np.concatenate(grams)
-    return np.unique(INDICATOR_SLOTS + crc.astype(np.int64) % buckets, return_counts=True)
+            register = update if k == 0 else np.where(wider[k][n:], update, register)
+        # Grams starting in a text's last n characters run into the next.
+        for start, end in spans:
+            grams.append(register[start : end - n])
+    buckets_of = (~np.concatenate(grams)).astype(np.int64) % buckets
+    if len(rows) == 1:
+        found, counts = np.unique(buckets_of, return_counts=True)
+        return INDICATOR_SLOTS + found, counts, [len(found)]
+    # A padded text of L characters has L - n grams of n + 1 characters.
+    per_text = [length - n for n in range(3) for length in lengths]
+    row_of = np.repeat(np.tile(np.arange(len(rows)).repeat(2), 3), per_text)
+    keys, counts = np.unique(row_of * buckets + buckets_of, return_counts=True)
+    row_ends = np.searchsorted(keys, np.arange(1, len(rows) + 1) * buckets).tolist()
+    return INDICATOR_SLOTS + keys % buckets, counts, row_ends
 
 
-def featurize(
-    inp: ScoringInput, hash_seed: int = 0, dim: int = DEFAULT_DIM
+def _with_indicators(
+    inp: ScoringInput, grams: np.ndarray, values: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Hash one scoring input into a sparse (indices, values) pair of
-    feature dimension ``dim``.
-
-    Character 1- to 3-grams of the focus and segment texts live in
-    disjoint hash namespaces inside the n-gram block (formula in the
-    module docstring); the dense indicator block occupies its own reserved
-    index range, so the two can never collide. The n-gram block is
-    L2-normalized so the indicators keep a stable share of the margin.
-    Deterministic for a fixed hash seed.
-    """
+    """``inp``'s normalized n-gram features with the indicator slots it
+    fires (layout at the top) in front, each with value 1."""
     counts: dict[int, float] = {}
     counts[_KIND_SLOT[inp.focus_kind]] = 1.0
     focus, segment = inp.focus_text, inp.segment_text
@@ -298,13 +320,56 @@ def featurize(
             counts[_ONLY_SEGMENT_NUMBERED_SLOT] = 1.0
         else:
             counts[_NEITHER_NUMBERED_SLOT] = 1.0
-
-    grams, gram_counts = _hash_ngrams(focus, segment, hash_seed, dim - INDICATOR_SLOTS)
-    values = gram_counts.astype(np.float64)
-    # The counts are integers, so their sum of squares is exact in any order.
-    values /= np.sqrt(np.sum(values**2))
     indicators = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
     return np.concatenate([indicators, grams]), np.concatenate([np.ones(len(counts)), values])
+
+
+def featurize(
+    inp: ScoringInput, hash_seed: int = 0, dim: int = DEFAULT_DIM
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hash one scoring input into a sparse (indices, values) pair of
+    feature dimension ``dim``.
+
+    Character 1- to 3-grams of the focus and segment texts live in
+    disjoint hash namespaces inside the n-gram block (formula in the
+    module docstring); the dense indicator block occupies its own reserved
+    index range, so the two can never collide. The n-gram block is
+    L2-normalized so the indicators keep a stable share of the margin.
+    Deterministic for a fixed hash seed.
+    """
+    grams, counts, _ = _hash_ngrams(
+        [(inp.focus_text, inp.segment_text)], hash_seed, dim - INDICATOR_SLOTS
+    )
+    values = counts.astype(np.float64)
+    # The counts are integers, so their sum of squares is exact in any order.
+    values /= np.sqrt(np.sum(values**2))
+    return _with_indicators(inp, grams, values)
+
+
+def featurize_many(
+    inputs: Sequence[ScoringInput], hash_seed: int = 0, dim: int = DEFAULT_DIM
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``[featurize(inp, hash_seed, dim) for inp in inputs]``, array for
+    array, from one kernel call per ``HASH_CHUNK_CHARS`` characters."""
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    start = chars = 0
+    for stop, inp in enumerate(inputs, 1):
+        chars += len(inp.focus_text) + len(inp.segment_text)
+        if chars < HASH_CHUNK_CHARS and stop < len(inputs):
+            continue
+        chunk, start, chars = inputs[start:stop], stop, 0
+        grams, counts, ends = _hash_ngrams(
+            [(x.focus_text, x.segment_text) for x in chunk], hash_seed, dim - INDICATOR_SLOTS
+        )
+        values = counts.astype(np.float64)
+        row_of = np.repeat(np.arange(len(chunk)), np.diff(ends, prepend=0))
+        # Every row has grams, and integer sums of squares are exact.
+        values /= np.sqrt(np.bincount(row_of, weights=values**2))[row_of]
+        out += [
+            _with_indicators(x, grams[begin:end], values[begin:end])
+            for x, begin, end in zip(chunk, [0] + ends, ends)
+        ]
+    return out
 
 
 @dataclass
@@ -449,7 +514,7 @@ def train(
     if not examples:
         raise EmptyTrainingSet("cannot train on an empty example list")
     model = LinearModel.create(dim=dim, classes=classes, hash_seed=config.seed)
-    feats = [featurize(inp, model.hash_seed, dim) for inp, _ in examples]
+    feats = featurize_many([inp for inp, _ in examples], model.hash_seed, dim)
     labels = np.array([int(label) for _, label in examples], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError("label out of range for the class count")

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from catparse.baselines import (
     DEFAULT_MAX_DEPTH,
@@ -19,9 +20,11 @@ from catparse.baselines import (
 )
 from catparse.corpus import ChunkConfig, GenConfig, chunk_document, generate_synthetic
 from catparse.engine import oracle_actions, replay_actions
+from catparse import scoring
 from catparse.scoring import LinearModel
 from catparse.tree import NodeKind, Segment, flatten, iter_nodes, validate_tree
 
+from .baselines_reference import reference_pipeline_predict, reference_tagging_predict
 from .conftest import WALKTHROUGH_SEGMENTS, heading, text, tree_of, walkthrough_tree
 
 
@@ -293,3 +296,40 @@ def test_arbitrary_models_emit_valid_trees():
         validate_tree(tree, segments)
         tree = tagging_predict(segments, tags)
         validate_tree(tree, segments)
+
+
+def random_head(rng, classes: int, dim: int, hash_seed: int) -> LinearModel:
+    head = LinearModel.create(dim=dim, classes=classes, hash_seed=hash_seed)
+    head.weights[:] = rng.normal(size=head.weights.shape)
+    head.bias[:] = rng.normal(size=classes)
+    return head
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("level_classes,tag_classes", [(2, 4), (9, 18)])
+@pytest.mark.parametrize("chunk_chars", [50, scoring.HASH_CHUNK_CHARS])
+def test_batched_baselines_match_per_input_reference(
+    monkeypatch, seed, level_classes, tag_classes, chunk_chars
+):
+    """Both baselines featurize a document's inputs in batches; the trees
+    must be those of featurizing one input at a time."""
+    monkeypatch.setattr(scoring, "HASH_CHUNK_CHARS", chunk_chars)
+    rng = np.random.default_rng(seed)
+    trees = generate_synthetic(GenConfig(doc_count=5, seed=seed))
+    streams = [
+        chunk_document(tree, ChunkConfig(chunk_probability=0.5, seed=seed + i))[0]
+        for i, tree in enumerate(trees)
+    ]
+    streams += [[Segment("1. Scope", 0)], [Segment("正文。", 0)], []]
+    # the two pipeline heads differ in width and hash seed
+    merge = random_head(rng, 2, 1 << 12, seed)
+    level = random_head(rng, level_classes, 1 << 10, seed + 1)
+    tags = random_head(rng, tag_classes, 1 << 12, seed + 2)
+    for joiner in ("", " "):
+        for segments in streams:
+            assert pipeline_predict(segments, merge, level, joiner) == reference_pipeline_predict(
+                segments, merge, level, joiner
+            )
+            assert tagging_predict(segments, tags, joiner) == reference_tagging_predict(
+                segments, tags, joiner
+            )

@@ -227,6 +227,19 @@ def test_bridge_failure_exits_1(workspace, capsys, program):
     assert "Traceback" not in err
 
 
+def test_bridge_that_cannot_start_with_jobs_exits_1(workspace, capsys):
+    """Each worker starts its bridge child on its first document, so the
+    failure comes back as that document's error, not as a broken pool."""
+    pred = workspace / "bridge-pred.jsonl"
+    assert run(
+        "predict", "--segments", workspace / "segs.jsonl", "--scorer", "bridge:/nonexistent/cmd",
+        "--out", pred, "--jobs", "2",
+    ) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "scorer bridge failed" in err
+    assert "Traceback" not in err and not pred.exists()
+
+
 def owning(content: str, segments: list[int], *children: dict, kind: str = "heading") -> dict:
     return {"kind": kind, "content": content, "segments": segments, "children": list(children)}
 
@@ -284,14 +297,13 @@ def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, caplog, shap
         ("train", ["--subsample", "0"], "--subsample"),
         ("train", ["--subsample", "-1"], "--subsample"),
         ("predict", ["--jobs", "-2"], "--jobs"),
-        ("oracle-check", ["--jobs", "0"], "--jobs"),
         ("predict", ["--method", "pipeline", "--unconstrained"], "--unconstrained"),
         ("predict", ["--method", "tagging", "--unconstrained"], "--unconstrained"),
         # checked before any --jobs worker starts
         ("predict", ["--method", "tagging", "--jobs", "2", "--scorer", "bridge:cat"], "linear:"),
     ],
     ids=["lr-nan", "lr-inf", "decay-nan", "subsample-0", "subsample-neg", "predict-jobs",
-         "check-jobs", "pipeline-unconstrained", "tagging-unconstrained", "tagging-bridge"],
+         "pipeline-unconstrained", "tagging-unconstrained", "tagging-bridge"],
 )
 def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message):
     gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"
@@ -301,7 +313,6 @@ def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message)
                   "--dev-segments", segs, "--model-out", workspace / "out.bin", "--epochs", "1"],
         "predict": ["--segments", segs, "--scorer", f"linear:{model}",
                     "--out", workspace / "pred.jsonl"],
-        "oracle-check": ["--corpus", gold, "--segments", segs],
     }[command]
     assert run(command, *rest, *flags) == 1
     err = capsys.readouterr().err.splitlines()

@@ -1,10 +1,12 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from catparse import scoring
 from catparse.corpus import ChunkConfig, GenConfig, chunk_corpus, generate_corpus
 from catparse.engine import oracle_examples
 from catparse.scoring import (
@@ -17,6 +19,7 @@ from catparse.scoring import (
     ScoringInput,
     TrainConfig,
     featurize,
+    featurize_many,
     inverse_frequency_weights,
     load_model,
     loss_and_grad,
@@ -137,6 +140,56 @@ class TestHashKernel:
             digest.update(indices.astype("<i8").tobytes())
             digest.update(values.astype("<f8").tobytes())
         assert digest.hexdigest() == PINNED_SHA256
+
+
+INPUTS = st.builds(
+    ScoringInput,
+    st.sampled_from(list(NodeKind)),
+    st.text(CHARS, max_size=40),
+    st.text(CHARS, min_size=1, max_size=40),
+)
+
+
+def rows(*texts: tuple[str, str]) -> list[ScoringInput]:
+    return [ScoringInput(NodeKind.TEXT, focus, segment) for focus, segment in texts]
+
+
+class TestHashManyRows:
+    """``featurize_many`` hashes many rows in one kernel call per chunk;
+    each row must come out as the per-gram reference loop makes it."""
+
+    @given(
+        st.lists(INPUTS, max_size=12),
+        SEEDS,
+        st.sampled_from([65, 1000, 1 << 18, 1 << 20]),
+        st.sampled_from([1, 7, 60, scoring.HASH_CHUNK_CHARS]),
+    )
+    @example(rows(("", "x")), 0, 65, 1)
+    # rows that share every gram: a key that let one row's columns run into
+    # the next row's range would merge their counts
+    @example(rows(("ab", "ab"), ("ab", "ab"), ("", "ab")), 3, 65, scoring.HASH_CHUNK_CHARS)
+    @example(rows(("", "a"), ("b", "c"), ("", "d")), 1, 66, scoring.HASH_CHUNK_CHARS)
+    @example(rows(("$^", "^$"), ("a$", "^b"), ("$", "$^$")), 7, 1000, 7)
+    @example(rows(("\U0001F600", "\U00020000x"), ("e\u0301", "\U0001F600")), -1, 1 << 20, 3)
+    @example([ScoringInput(kind, "1.", "2.1 x") for kind in NodeKind], 2**32, 1 << 18, 5)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference_per_input(self, inputs, seed, dim, chunk_chars):
+        with mock.patch.object(scoring, "HASH_CHUNK_CHARS", chunk_chars):
+            got = featurize_many(inputs, seed, dim)
+        assert len(got) == len(inputs)
+        for (indices, values), example in zip(got, inputs):
+            ref_indices, ref_values = reference_featurize(example, seed, dim)
+            assert indices.dtype == ref_indices.dtype and values.dtype == ref_values.dtype
+            assert np.array_equal(indices, ref_indices)
+            assert np.array_equal(values, ref_values)
+
+    def test_chunks_split_long_lists(self):
+        inputs = rows(*[(f"focus {i}", f"segment {i}") for i in range(40)])
+        with mock.patch.object(scoring, "_hash_ngrams", wraps=scoring._hash_ngrams) as kernel:
+            with mock.patch.object(scoring, "HASH_CHUNK_CHARS", 100):
+                featurize_many(inputs)
+        assert kernel.call_count > 1
+        assert sum(len(call.args[0]) for call in kernel.call_args_list) == len(inputs)
 
 
 class TestScore:
