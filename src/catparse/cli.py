@@ -293,14 +293,16 @@ def _write_action_dump(path: str, train_pairs, joiner: str) -> None:
 # parser on its first document, from the heads the parent loaded or, with
 # a bridge scorer, from a bridge child of its own; a child that cannot
 # start then fails that document, and the error comes back through its
-# future. Document order is preserved by the executor. A worker's bridge
-# child is never closed explicitly: it gets end-of-input when the worker
-# exits.
+# future. Document order is preserved by the executor. When a document
+# fails, the run fails: the worker closes its bridge child at once, since
+# end-of-input at the worker's exit does not stop a child that ignores its
+# stdin, and fails its later documents with the same error.
 _worker: dict = {}
 
 
 def _init_worker(heads, scorer_spec: str, method: str, constrained: bool, joiner: str) -> None:
     _worker["setup"] = (heads, scorer_spec, method, constrained, joiner)
+    _worker["resources"] = ExitStack()
 
 
 def _parse_scorer_spec(spec: str) -> tuple[str, str]:
@@ -322,12 +324,19 @@ def _load_heads(scorer_spec, method, resources: ExitStack) -> tuple:
 
 
 def _parse_one(segments: list[Segment]):
-    if "parse" not in _worker:
-        heads, scorer_spec, method, constrained, joiner = _worker["setup"]
-        if not heads:
-            heads = _load_heads(scorer_spec, method, ExitStack())
-        _worker["parse"] = methods.parser_for(method, heads, constrained, joiner)
-    return _worker["parse"](segments)
+    if "error" in _worker:
+        raise _worker["error"]
+    try:
+        if "parse" not in _worker:
+            heads, scorer_spec, method, constrained, joiner = _worker["setup"]
+            if not heads:
+                heads = _load_heads(scorer_spec, method, _worker["resources"])
+            _worker["parse"] = methods.parser_for(method, heads, constrained, joiner)
+        return _worker["parse"](segments)
+    except Exception as exc:
+        _worker["error"] = exc
+        _worker["resources"].close()
+        raise
 
 
 def cmd_predict(args):

@@ -101,8 +101,8 @@ def train_heads(
         if not examples:
             raise scoring.EmptyTrainingSet("no unit examples in the training corpus")
         # Documents of a single segment have no adjacent pairs. Without
-        # any, the merge head stays untrained: all-zero logits argmax to
-        # NEW_UNIT, so it never merges.
+        # any, the merge head is a zero head over the indicator block:
+        # all-zero logits argmax to NEW_UNIT, so it never merges.
         if pairs:
             fixed = (scoring.train(pairs, config, classes=2),)
         else:

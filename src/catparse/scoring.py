@@ -10,15 +10,15 @@ once in feature
 ``INDICATOR_SLOTS + zlib.crc32(g_utf8, zlib.crc32(ns, seed & 0xFFFFFFFF)) % (dim - INDICATOR_SLOTS)``,
 and the n-gram counts are L2-normalized; external scorers can rebuild
 the features from this formula. A ``LinearModel`` is itself an
-``ActionScorer``, and ``dim`` is the width of its weights. Training
-minimizes mean cross-entropy with adaptive moment estimation and
-decoupled weight decay. It runs in a compact column space: the indicator
-block plus the n-gram columns the training examples touch, renumbered in
-order, so the weights and both moments are as wide as that footprint,
-not ``dim``. Each batch updates only its own columns, catching up lazily
-on the steps they skipped. The dense model gets the compact weights at
-every epoch's end; a column no example touches stays exactly 0, so the
-model bytes are those of training over all ``dim`` columns.
+``ActionScorer``. It hashes into ``dim`` features but holds weights only
+for the sorted ``columns`` it was trained on, the indicator block among
+them; every other feature weighs 0. Training minimizes mean
+cross-entropy with adaptive moment estimation and decoupled weight
+decay. The model it trains holds the indicator block plus the n-gram
+columns the training examples touch, and both moments are as wide as
+that footprint, not ``dim``. Each batch updates only its own columns,
+catching up lazily on the steps they skipped. A model file stores the
+columns and their weights, so it too is as large as the footprint.
 """
 from __future__ import annotations
 
@@ -38,6 +38,9 @@ import numpy as np
 from .tree import TERMINAL_PUNCTUATION, NodeKind
 
 DEFAULT_DIM = 1 << 18
+# A model file may not claim more features: each head holds a lookup
+# over all of them.
+MAX_DIM = 1 << 22
 INDICATOR_SLOTS = 64
 
 # Indicator slot layout (the n-gram block starts at INDICATOR_SLOTS):
@@ -378,47 +381,66 @@ class LinearModel(ActionScorer):
 
     The action scorer uses four classes; the baseline heads reuse the
     same container with their own class counts. Inputs are hashed into
-    as many features as the weights have columns.
+    ``dim`` features. The head holds weights only for its sorted
+    ``columns``, which include the indicator block; every other feature
+    weighs 0.
     """
 
-    weights: np.ndarray  # (classes, dim) float64
+    columns: np.ndarray  # (U,) sorted, unique, below dim
+    weights: np.ndarray  # (classes, U) float64
     bias: np.ndarray  # (classes,) float64
     hash_seed: int
-    version: int = 1
+    dim: int = DEFAULT_DIM
 
     def __post_init__(self) -> None:
+        cols = self.columns
         if self.dim <= INDICATOR_SLOTS:
             raise ValueError(
                 f"feature dimension {self.dim} must exceed the"
                 f" {INDICATOR_SLOTS}-slot indicator block"
             )
+        if self.dim > MAX_DIM:
+            raise ValueError(f"feature dimension {self.dim} exceeds the bound {MAX_DIM}")
+        if np.any(cols[1:] < cols[:-1]):
+            raise ValueError("columns are not sorted")
+        if np.any(cols[1:] == cols[:-1]):
+            raise ValueError("columns hold a duplicate")
+        if len(cols) and cols[-1] >= self.dim:
+            raise ValueError(f"column {cols[-1]} is outside feature dimension {self.dim}")
+        # Sorted and unique, they hold the block if they run 0 .. 63.
+        last = INDICATOR_SLOTS - 1
+        if len(cols) <= last or cols[0] != 0 or cols[last] != last:
+            raise ValueError("columns miss part of the indicator block")
+        # logits_for gathers a feature outside the columns from one extra
+        # all-zero column, so the gathered matrix is value for value the
+        # dense model's.
+        self.columns = cols.astype(np.int64)
+        self._table = np.zeros((len(self.bias), len(cols) + 1))
+        self._table[:, :-1] = self.weights
+        self.weights = self._table[:, :-1]
+        self.bias = np.array(self.bias, dtype=np.float64)
+        self._lookup = np.full(self.dim, len(cols), dtype=np.int32)
+        self._lookup[self.columns] = np.arange(len(cols))
 
     @classmethod
     def create(cls, dim: int = DEFAULT_DIM, classes: int = 4, hash_seed: int = 0) -> "LinearModel":
-        return cls(
-            weights=np.zeros((classes, dim), dtype=np.float64),
-            bias=np.zeros(classes, dtype=np.float64),
-            hash_seed=hash_seed,
-        )
-
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
+        """A zero head holding only the indicator block."""
+        zeros = np.zeros((classes, INDICATOR_SLOTS))
+        return cls(np.arange(INDICATOR_SLOTS), zeros, np.zeros(classes), hash_seed, dim)
 
     @property
     def classes(self) -> int:
         return self.weights.shape[0]
 
     def copy(self) -> "LinearModel":
-        return LinearModel(
-            weights=self.weights.copy(),
-            bias=self.bias.copy(),
-            hash_seed=self.hash_seed,
-            version=self.version,
-        )
+        return LinearModel(self.columns, self.weights, self.bias, self.hash_seed, self.dim)
+
+    def __reduce__(self):
+        # Pickled as its fields; the lookup and the padded table are rebuilt.
+        return LinearModel, (self.columns, self.weights, self.bias, self.hash_seed, self.dim)
 
     def logits_for(self, indices: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return self.weights[:, indices] @ values + self.bias
+        return self._table[:, self._lookup[indices]] @ values + self.bias
 
     def score_input(self, inp: ScoringInput) -> ActionScores:
         return score(inp, self)
@@ -507,14 +529,14 @@ def train(
 ) -> LinearModel:
     """Fit a linear model by mini-batch cross-entropy descent.
 
-    Deterministic for a fixed config seed: the same data and seed yield a
-    bit-identical model. ``epoch_callback`` runs after every epoch with
-    the live model (copy it to keep a snapshot).
+    The model holds the indicator block and every column the examples
+    touch. Deterministic for a fixed config seed: the same data and seed
+    yield a bit-identical model. ``epoch_callback`` runs after every
+    epoch with the live model (copy it to keep a snapshot).
     """
     if not examples:
         raise EmptyTrainingSet("cannot train on an empty example list")
-    model = LinearModel.create(dim=dim, classes=classes, hash_seed=config.seed)
-    feats = featurize_many([inp for inp, _ in examples], model.hash_seed, dim)
+    feats = featurize_many([inp for inp, _ in examples], config.seed, dim)
     labels = np.array([int(label) for _, label in examples], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= classes:
         raise ValueError("label out of range for the class count")
@@ -522,30 +544,16 @@ def train(
     if config.class_weighting:
         class_weights = inverse_frequency_weights(labels, classes)
 
-    # The compact head's column u is the model's column used[u]. The map
-    # is monotone, so every sorted column order stays the same. With the
-    # indicator block and at least one gram per example, the head is wider
-    # than the indicator block, as LinearModel requires.
-    all_indices = np.concatenate([indices for indices, _ in feats])
-    used = np.union1d(np.arange(INDICATOR_SLOTS), all_indices)
-    ends = np.cumsum([len(indices) for indices, _ in feats])[:-1]
-    compact = np.split(np.searchsorted(used, all_indices), ends)
-    feats = [(indices, values) for indices, (_, values) in zip(compact, feats)]
-    head = LinearModel.create(dim=len(used), classes=classes, hash_seed=config.seed)
-
+    used = np.union1d(np.arange(INDICATOR_SLOTS), np.concatenate([i for i, _ in feats]))
+    model = LinearModel(used, np.zeros((classes, len(used))), np.zeros(classes), config.seed, dim)
     # The moments are column-major: one row per column, gathered at once.
     moment1 = np.zeros((len(used), classes), dtype=np.float64)
     moment2 = np.zeros_like(moment1)
-    bias_m1 = np.zeros_like(head.bias)
-    bias_m2 = np.zeros_like(head.bias)
+    bias_m1 = np.zeros_like(model.bias)
+    bias_m2 = np.zeros_like(model.bias)
     last_step = np.zeros(len(used), dtype=np.int64)
     step = 0
     lr, decay = config.learning_rate, config.weight_decay
-
-    def publish() -> None:
-        _settle_decay(head, last_step, step, lr, decay)
-        model.weights[:, used] = head.weights
-        model.bias[:] = head.bias
 
     rng = np.random.default_rng(config.seed)
     n = len(examples)
@@ -555,10 +563,13 @@ def train(
             batch = order[start : start + config.batch_size]
             step += 1
             _, cols, grad, bias_grad = loss_and_grad(
-                head, [feats[j] for j in batch], labels[batch], class_weights
+                model, [feats[j] for j in batch], labels[batch], class_weights
             )
+            # The columns' positions in the model; the map is monotone, so
+            # every sorted column order stays the same.
+            cols = model._lookup[cols]
             grad = grad.T
-            m1, m2, weights = moment1[cols], moment2[cols], head.weights[:, cols]
+            m1, m2, weights = moment1[cols], moment2[cols], model.weights[:, cols]
 
             # Catch up lazily skipped steps: decay moments and apply the
             # decoupled weight decay those columns would have received.
@@ -573,7 +584,7 @@ def train(
             moment1[cols], moment2[cols] = m1, m2
             m_hat = m1 / (1 - _BETA1**step)
             v_hat = m2 / (1 - _BETA2**step)
-            head.weights[:, cols] = weights * (1.0 - lr * decay) - (
+            model.weights[:, cols] = weights * (1.0 - lr * decay) - (
                 lr * m_hat / (np.sqrt(v_hat) + _EPS)
             ).T
 
@@ -581,13 +592,13 @@ def train(
             bias_m2 = _BETA2 * bias_m2 + (1 - _BETA2) * bias_grad**2
             b_hat1 = bias_m1 / (1 - _BETA1**step)
             b_hat2 = bias_m2 / (1 - _BETA2**step)
-            head.bias -= lr * b_hat1 / (np.sqrt(b_hat2) + _EPS)
+            model.bias -= lr * b_hat1 / (np.sqrt(b_hat2) + _EPS)
 
         if epoch_callback is not None:
-            publish()
+            _settle_decay(model, last_step, step, lr, decay)
             epoch_callback(epoch, model)
 
-    publish()
+    _settle_decay(model, last_step, step, lr, decay)
     return model
 
 
@@ -602,26 +613,29 @@ def _settle_decay(
         last_step[pending] = step
 
 
-# Model file container. All integers little-endian. Layout:
+# Model file container, version 2. All integers little-endian. Layout:
 #   magic    4 bytes  (b"CTXM" action scorer; baseline heads use their own)
 #   version  uint32
 #   dim      uint64
 #   seed     int64
 #   classes  uint32
-#   weights  classes*dim float64, row-major
+#   count    uint64
+#   columns  count uint64, the model's sorted columns
+#   weights  classes*count float64, row-major
 #   bias     classes float64
 # A file may hold several containers back to back (the two pipeline
 # heads share one file).
 MODEL_MAGIC = b"CTXM"
-_HEADER = struct.Struct("<4sIQqI")
+MODEL_VERSION = 2
+_HEADER = struct.Struct("<4sIQqIQ")
 
 
 def write_container(handle, model: LinearModel, magic: bytes = MODEL_MAGIC) -> None:
     if len(magic) != 4:
         raise ValueError("model magic must be exactly 4 bytes")
-    handle.write(
-        _HEADER.pack(magic, model.version, model.dim, model.hash_seed, model.classes)
-    )
+    header = (magic, MODEL_VERSION, model.dim, model.hash_seed, model.classes, len(model.columns))
+    handle.write(_HEADER.pack(*header))
+    handle.write(model.columns.astype("<u8").tobytes())
     handle.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
     handle.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
 
@@ -630,22 +644,26 @@ def read_container(handle, magic: bytes = MODEL_MAGIC, name: str = "model") -> L
     header = handle.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise ValueError(f"{name}: truncated model header")
-    found, version, dim, seed, classes = _HEADER.unpack(header)
+    found, version, dim, seed, classes, count = _HEADER.unpack(header)
     if found != magic:
         raise ValueError(f"{name}: expected magic {magic!r}, found {found!r}")
-    expected = (classes * dim + classes) * 8
+    if version != MODEL_VERSION:
+        raise ValueError(
+            f"{name}: model file version {version} is not readable, only"
+            f" version {MODEL_VERSION}; retrain the model"
+        )
+    sizes = [count, classes * count, classes]
     left = os.fstat(handle.fileno()).st_size - handle.tell()
+    expected = sum(sizes) * 8
     if expected > left:
         raise ValueError(f"{name}: header claims a {expected}-byte payload, {left} bytes left")
-    payload = handle.read(expected)
-    weights = np.frombuffer(payload[: classes * dim * 8], dtype="<f8").reshape(classes, dim)
-    bias = np.frombuffer(payload[classes * dim * 8 :], dtype="<f8")
+    columns, weights, bias = (
+        np.frombuffer(handle.read(size * 8), dtype=dtype)
+        for size, dtype in zip(sizes, ("<u8", "<f8", "<f8"))
+    )
     try:
         return LinearModel(
-            weights=weights.astype(np.float64),
-            bias=bias.astype(np.float64),
-            hash_seed=int(seed),
-            version=int(version),
+            columns, weights.reshape(classes, count), bias, hash_seed=int(seed), dim=int(dim)
         )
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None

@@ -12,7 +12,7 @@ import numpy as np
 
 from catparse import corpus, engine, methods, metrics, scoring
 from catparse.cli import main
-from catparse.scoring import LinearModel, ScoringInput, featurize, loss_and_grad
+from catparse.scoring import ScoringInput, featurize, loss_and_grad
 from catparse.tree import Action, NodeKind, Segment, flatten, iter_nodes, validate_tree
 
 from .conftest import (
@@ -28,6 +28,7 @@ from .conftest import (
     text,
     tree_of,
 )
+from .dense_heads import full_head
 
 
 def test_criterion_1_walkthrough_replay_exact():
@@ -133,7 +134,7 @@ def test_criterion_5_gradient_check():
     texts = ["1.2 概述", "正文内容比较长的一句。", "短语", "第三章 分析", "2.1.3 小节", ""]
     cases = 0
     for case in range(20):
-        model = LinearModel.create(dim=dim)
+        model = full_head(dim=dim)
         model.weights[:] = rng.normal(size=model.weights.shape) * 0.6
         model.bias[:] = rng.normal(size=4) * 0.3
         example = ScoringInput(

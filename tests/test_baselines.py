@@ -26,6 +26,7 @@ from catparse.tree import NodeKind, Segment, flatten, iter_nodes, validate_tree
 
 from .baselines_reference import reference_pipeline_predict, reference_tagging_predict
 from .conftest import WALKTHROUGH_SEGMENTS, heading, text, tree_of, walkthrough_tree
+from .dense_heads import full_head
 
 
 class ScriptedHead:
@@ -287,9 +288,9 @@ def test_arbitrary_models_emit_valid_trees():
         ChunkConfig(chunk_probability=0.5, seed=8),
     )
     for trial in range(5):
-        concat = LinearModel.create(dim=dim, classes=2)
-        level = LinearModel.create(dim=dim, classes=9)
-        tags = LinearModel.create(dim=dim, classes=18)
+        concat = full_head(dim=dim, classes=2)
+        level = full_head(dim=dim, classes=9)
+        tags = full_head(dim=dim, classes=18)
         for model in (concat, level, tags):
             model.weights[:] = rng.normal(size=model.weights.shape)
         tree = pipeline_predict(segments, concat, level)
@@ -299,7 +300,7 @@ def test_arbitrary_models_emit_valid_trees():
 
 
 def random_head(rng, classes: int, dim: int, hash_seed: int) -> LinearModel:
-    head = LinearModel.create(dim=dim, classes=classes, hash_seed=hash_seed)
+    head = full_head(dim=dim, classes=classes, hash_seed=hash_seed)
     head.weights[:] = rng.normal(size=head.weights.shape)
     head.bias[:] = rng.normal(size=classes)
     return head

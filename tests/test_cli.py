@@ -1,5 +1,7 @@
+import functools
 import json
 import os
+import signal
 import struct
 import sys
 
@@ -7,12 +9,16 @@ import numpy as np
 import pytest
 
 from catparse.baselines import pipeline_predict, tagging_predict
+from catparse import cli
+from catparse.bridge import ScorerBridge
 from catparse.cli import main
 from catparse.engine import decode, oracle_actions, replay_actions
 from catparse.jsonio import read_corpus, read_streams
 from catparse.methods import load_heads
 from catparse.scoring import LinearModel, save_model, write_container
 from catparse.tree import MAX_DEPTH, NodeKind, flatten, tree_depth, validate_tree
+
+from .dense_heads import full_head
 
 TINY = ["--count", "12", "--depth", "2", "4", "--seed", "5"]
 FAST_TRAIN = ["--epochs", "2", "--batch-size", "20", "--seed", "5"]
@@ -138,12 +144,16 @@ def test_baseline_methods_train_and_predict(workspace):
             *FAST_TRAIN,
         ) == 0
         pred = workspace / f"{method}-pred.jsonl"
-        assert run(
-            "predict", "--method", method,
-            "--segments", workspace / "segs.jsonl",
-            "--scorer", f"linear:{model}", "--out", pred,
-        ) == 0
+        parallel = workspace / f"{method}-parallel.jsonl"
+        for out, jobs in ((pred, "1"), (parallel, "2")):
+            assert run(
+                "predict", "--method", method,
+                "--segments", workspace / "segs.jsonl",
+                "--scorer", f"linear:{model}", "--out", out, "--jobs", jobs,
+            ) == 0
         assert len(read_corpus(pred)) == 12
+        # the heads are pickled into the workers
+        assert pred.read_bytes() == parallel.read_bytes()
 
 
 def test_subsample_flag(workspace):
@@ -238,6 +248,43 @@ def test_bridge_that_cannot_start_with_jobs_exits_1(workspace, capsys):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "scorer bridge failed" in err
     assert "Traceback" not in err and not pred.exists()
+
+
+def test_failed_documents_close_their_workers_bridge_children(tmp_path, capsys, monkeypatch):
+    """A worker closes its bridge child when a document fails; end-of-input
+    at the worker's exit would not stop a child that ignores its stdin."""
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    stalled = tmp_path / "stalled.py"
+    stalled.write_text(
+        "import os, time\n"
+        f"open(os.path.join({str(pids)!r}, str(os.getpid())), 'w').close()\n"
+        "time.sleep(60)\n"
+    )
+    # the workers fork, so they inherit the short timeout
+    monkeypatch.setattr(cli, "ScorerBridge", functools.partial(ScorerBridge, timeout=0.5))
+    segs = tmp_path / "segs.jsonl"
+    segs.write_text("".join(
+        json.dumps({"id": f"d{i}", "segments": ["1. Scope", "Body."]}) + "\n" for i in range(3)
+    ))
+    try:
+        assert run(
+            "predict", "--segments", segs, "--scorer", f"bridge:{sys.executable} {stalled}",
+            "--out", tmp_path / "pred.jsonl", "--jobs", "2",
+        ) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "scorer bridge failed" in err
+        started = [int(path.name) for path in pids.iterdir()]
+        assert started
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        for path in pids.iterdir():
+            try:
+                os.kill(int(path.name), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
 
 
 def owning(content: str, segments: list[int], *children: dict, kind: str = "heading") -> dict:
@@ -536,11 +583,15 @@ def test_lone_surrogate_is_schema_error(tmp_path, capsys):
         assert len(err) == 1 and "schema error" in err[0] and field in err[0]
 
 
-def small_container(magic: bytes, dim: int, classes: int) -> bytes:
-    """A model container of zero weights, written field by field so that
-    any dimension can be stored."""
-    header = struct.pack("<4sIQqI", magic, 1, dim, 0, classes)
-    return header + bytes(8 * (classes * dim + classes))
+def small_container(magic: bytes, dim: int, classes: int, columns=None) -> bytes:
+    """A model container of zero weights over ``columns`` (by default the
+    indicator block, or as much of it as ``dim`` holds), written field by
+    field so that any header and any columns can be stored."""
+    if columns is None:
+        columns = range(min(dim, 64))
+    header = struct.pack("<4sIQqIQ", magic, 2, dim, 0, classes, len(columns))
+    weights = bytes(8 * (classes * len(columns) + classes))
+    return header + struct.pack(f"<{len(columns)}Q", *columns) + weights
 
 
 @pytest.mark.parametrize(
@@ -571,12 +622,33 @@ def small_container(magic: bytes, dim: int, classes: int) -> bytes:
         ("tagging", small_container(b"CTXB", 128, 9), "tagging head needs"),
         ("tagging", small_container(b"CTXB", 128, 2), "tagging head needs"),
         ("tagging", small_container(b"CTXB", 128, 2 * MAX_DEPTH + 2), "tagging head needs"),
-        # 92 bytes whose header claims 4 * 2**50 weights
-        ("transition", struct.pack("<4sIQqI", b"CTXM", 1, 2**50, 0, 4) + bytes(64), "claims"),
+        # 100 bytes whose header claims 2**50 columns
+        (
+            "transition",
+            struct.pack("<4sIQqIQ", b"CTXM", 2, 1 << 18, 0, 4, 2**50) + bytes(64),
+            "claims",
+        ),
+        ("transition", small_container(b"CTXM", 128, 4)[:-8], "claims"),
+        ("transition", small_container(b"CTXM", 128, 4, [*range(64), 90, 80]), "not sorted"),
+        ("transition", small_container(b"CTXM", 128, 4, [*range(64), 80, 80]), "duplicate"),
+        ("transition", small_container(b"CTXM", 128, 4, [*range(64), 128]), "outside"),
+        (
+            "pipeline",
+            small_container(b"CTXC", 128, 2) + small_container(b"CTXL", 128, 9, [*range(63), 80]),
+            "miss part of the indicator block",
+        ),
+        ("transition", small_container(b"CTXM", 2**40, 4), "exceeds the bound"),
+        (
+            "transition",
+            struct.pack("<4sIQqI", b"CTXM", 1, 128, 0, 4) + bytes(8 * (4 * 128 + 4)),
+            "version 1",
+        ),
     ],
     ids=[
         "three-classes", "dim-64", "pipeline-dim-64", "merge-3", "level-1",
         "level-past-bound", "tagging-odd", "tagging-2", "tagging-past-bound", "lying-header",
+        "short-payload", "unsorted-columns", "duplicate-column", "column-past-dim",
+        "missing-indicator", "dim-past-bound", "version-1",
     ],
 )
 def test_invalid_model_file_exits_1(workspace, capsys, method, content, message):
@@ -587,7 +659,7 @@ def test_invalid_model_file_exits_1(workspace, capsys, method, content, message)
         "--scorer", f"linear:{model}", "--out", workspace / "pred.jsonl",
     ) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and message in err[0]
+    assert len(err) == 1 and message in err[0] and "Traceback" not in err[0]
 
 
 @pytest.mark.parametrize(
@@ -619,8 +691,8 @@ def test_pipeline_heads_of_different_dimensions_predict(workspace):
     rng = np.random.default_rng(4)
     # the level head is the narrower one: hashing its inputs to the merge
     # head's width would index past its weights
-    merge = LinearModel.create(dim=1 << 12, classes=2)
-    level = LinearModel.create(dim=1 << 8, classes=9)
+    merge = full_head(dim=1 << 12, classes=2)
+    level = full_head(dim=1 << 8, classes=9)
     for head in (merge, level):
         head.weights[:] = rng.normal(size=head.weights.shape)
     model = workspace / "mixed.bin"

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -30,6 +31,7 @@ from catparse.scoring import (
 )
 from catparse.tree import Action, NodeKind
 
+from .dense_heads import dense_weights, full_head
 from .featurize_reference import reference_featurize
 from .train_reference import reference_loss_and_grad, reference_train
 
@@ -195,7 +197,7 @@ class TestHashManyRows:
 class TestScore:
     def test_features_have_the_model_dimension(self):
         rng = np.random.default_rng(5)
-        model = LinearModel.create(dim=SMALL_DIM, hash_seed=3)
+        model = full_head(dim=SMALL_DIM, hash_seed=3)
         model.weights[:] = rng.normal(size=model.weights.shape)
         example = inp(NodeKind.HEADING, "2.1 概述", "2.1.1 细节")
         expected = model.logits_for(*featurize(example, 3, SMALL_DIM))
@@ -214,7 +216,7 @@ class TestScore:
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
-        model = LinearModel.create(dim=SMALL_DIM)
+        model = full_head(dim=SMALL_DIM)
         model.weights[:] = rng.normal(size=model.weights.shape) * 0.1
         result = score(inp(), model)
         assert abs(sum(result.probabilities) - 1.0) < 1e-9
@@ -268,6 +270,52 @@ def test_trained_model_opens_numbered_heading_at_root():
     model = train(examples, TrainConfig(epochs=3, seed=19))
     result = score(inp(NodeKind.ROOT, "", "1. Introduction"), model)
     assert Action(result.best) is Action.SUB_HEADING
+
+
+class TestCompactHead:
+    @given(
+        dim=st.integers(INDICATOR_SLOTS + 1, 600),
+        classes=st.integers(1, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_logits_equal_the_dense_expansion(self, dim, classes, data):
+        """Byte for byte, for any held columns and any indices, held or not."""
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        grams = np.arange(INDICATOR_SLOTS, dim)
+        held = grams[rng.random(len(grams)) < data.draw(st.floats(0, 1))]
+        model = LinearModel(
+            columns=np.concatenate([np.arange(INDICATOR_SLOTS), held]),
+            weights=rng.normal(size=(classes, INDICATOR_SLOTS + len(held))),
+            bias=rng.normal(size=classes),
+            hash_seed=0,
+            dim=dim,
+        )
+        dense = dense_weights(model)
+        for size in (1, 7, 60, 300):
+            indices = np.sort(rng.choice(dim, size=min(size, dim), replace=False))
+            values = rng.normal(size=len(indices))
+            want = dense[:, indices] @ values + model.bias
+            assert model.logits_for(indices, values).tobytes() == want.tobytes()
+
+    def test_pickle_and_copy_rebuild_the_head(self):
+        rng = np.random.default_rng(2)
+        model = LinearModel(
+            columns=np.array([*range(INDICATOR_SLOTS), 70, 99]),
+            weights=rng.normal(size=(4, INDICATOR_SLOTS + 2)),
+            bias=rng.normal(size=4),
+            hash_seed=5,
+            dim=128,
+        )
+        indices, values = np.array([3, 70, 71, 99]), np.array([1.0, 0.5, 2.0, -1.0])
+        for other in (pickle.loads(pickle.dumps(model)), model.copy()):
+            assert other.logits_for(indices, values).tobytes() == (
+                model.logits_for(indices, values).tobytes()
+            )
+            # a copy owns its weights
+            other.weights[:, -1] += 1.0
+            assert other.logits_for(indices, values)[0] != model.logits_for(indices, values)[0]
 
 
 class TestTrain:
@@ -334,7 +382,7 @@ PINNED_TRAIN_SHA256 = "3f28acd3bff959f78fd1675827247c45556dc44dcbdf805e1cd6923a6
 
 
 def snapshot(model):
-    return model.weights.tobytes() + model.bias.tobytes()
+    return dense_weights(model).tobytes() + model.bias.tobytes()
 
 
 def assert_trains_like_reference(examples, config, classes, dim):
@@ -362,14 +410,14 @@ class TestTrainMatchesDenseReference:
     def test_pinned_digest(self, oracle_inputs):
         config = TrainConfig(epochs=3, batch_size=7, seed=11, class_weighting=True)
         model = train(oracle_inputs, config, dim=SMALL_DIM)
-        digest = hashlib.sha256(model.weights.astype("<f8").tobytes())
+        digest = hashlib.sha256(dense_weights(model).astype("<f8").tobytes())
         digest.update(model.bias.astype("<f8").tobytes())
         assert digest.hexdigest() == PINNED_TRAIN_SHA256
 
     @pytest.mark.parametrize("classes", [4, 18])
     def test_gradient_bytes_on_shared_columns(self, oracle_inputs, classes):
         rng = np.random.default_rng(classes)
-        model = LinearModel.create(dim=SMALL_DIM, classes=classes)
+        model = full_head(dim=SMALL_DIM, classes=classes)
         model.weights[:] = rng.normal(size=model.weights.shape)
         model.bias[:] = rng.normal(size=classes)
         examples = relabelled(oracle_inputs[:120], classes)
@@ -395,7 +443,7 @@ class TestGradient:
         texts = ["1.2 概述", "正文内容较长一些。", "短语", "第三章 分析", ""]
         checked = 0
         for case in range(20):
-            model = LinearModel.create(dim=SMALL_DIM)
+            model = full_head(dim=SMALL_DIM)
             model.weights[:] = rng.normal(size=model.weights.shape) * 0.5
             model.bias[:] = rng.normal(size=4) * 0.5
             example = ScoringInput(
@@ -433,7 +481,7 @@ class TestGradient:
         """Class-weighted examples that share feature columns: covers the
         scatter-add, the per-class weights and the 1/len(batch) scale."""
         rng = np.random.default_rng(99)
-        model = LinearModel.create(dim=SMALL_DIM)
+        model = full_head(dim=SMALL_DIM)
         model.weights[:] = rng.normal(size=model.weights.shape) * 0.5
         model.bias[:] = rng.normal(size=4) * 0.5
         batch = [
@@ -477,16 +525,33 @@ class TestGradient:
 class TestModelFile:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(9)
-        model = LinearModel.create(dim=SMALL_DIM, classes=4, hash_seed=7)
+        model = full_head(dim=SMALL_DIM, classes=4, hash_seed=7)
         model.weights[:] = rng.normal(size=model.weights.shape)
         model.bias[:] = rng.normal(size=4)
         path = tmp_path / "model.bin"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.hash_seed == 7
-        assert loaded.version == model.version
+        assert loaded.hash_seed == 7 and loaded.dim == SMALL_DIM
+        assert loaded.columns.tobytes() == model.columns.tobytes()
         assert loaded.weights.tobytes() == model.weights.tobytes()
         assert loaded.bias.tobytes() == model.bias.tobytes()
+
+    def test_trained_compact_head_round_trips(self, tmp_path, oracle_inputs):
+        config = TrainConfig(epochs=2, seed=4, class_weighting=True)
+        model = train(relabelled(oracle_inputs, 9), config, classes=9)
+        assert INDICATOR_SLOTS < len(model.columns) < DEFAULT_DIM // 4
+        path = tmp_path / "model.bin"
+        save_model(model, path, magic=b"CTXL")
+        loaded = load_model(path, magic=b"CTXL")
+        assert (loaded.hash_seed, loaded.dim, loaded.classes) == (4, DEFAULT_DIM, 9)
+        assert loaded.columns.tobytes() == model.columns.tobytes()
+        assert loaded.weights.tobytes() == model.weights.tobytes()
+        assert loaded.bias.tobytes() == model.bias.tobytes()
+        # header, columns, weights and bias: no byte for an untrained column
+        assert path.stat().st_size == 36 + 8 * (len(model.columns) * 10 + 9)
+        for example, _ in oracle_inputs[:50]:
+            feats = featurize(example, 4, DEFAULT_DIM)
+            assert loaded.logits_for(*feats).tobytes() == model.logits_for(*feats).tobytes()
 
     def test_wrong_magic_rejected(self, tmp_path):
         model = LinearModel.create(dim=SMALL_DIM)

@@ -26,6 +26,8 @@ from catparse.scoring import (
     inverse_frequency_weights,
 )
 
+from .dense_heads import full_head
+
 
 def reference_loss_and_grad(
     model: LinearModel,
@@ -64,7 +66,7 @@ def reference_train(
 ) -> LinearModel:
     if not examples:
         raise EmptyTrainingSet("cannot train on an empty example list")
-    model = LinearModel.create(dim=dim, classes=classes, hash_seed=config.seed)
+    model = full_head(dim=dim, classes=classes, hash_seed=config.seed)
     feats = [featurize(inp, model.hash_seed, dim) for inp, _ in examples]
     labels = np.array([int(label) for _, label in examples], dtype=np.int64)
     if labels.min() < 0 or labels.max() >= classes:
