@@ -90,13 +90,13 @@ class ScorerBridge:
         return line
 
     def _write(self, payload: bytes, deadline: float) -> None:
-        fd = self._proc.stdin.fileno()
+        stdin = self._proc.stdin
+        fd = stdin.fileno()
         view = memoryview(payload)
         while True:
             try:
-                view = view[os.write(fd, view):]
-            except BlockingIOError:
-                pass
+                # Non-blocking, the write returns None when the pipe is full.
+                view = view[stdin.write(view) or 0 :]
             except OSError as exc:
                 raise BridgeIO(f"scorer pipe closed: {exc}") from exc
             if not view:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .scoring import ActionScorer, ScoringInput
+from .scoring import ActionScorer, ScoringInput, step_input
 from .tree import (
     Action,
     CatalogNode,
@@ -74,11 +74,6 @@ def _best_of(scores: Sequence[float], candidates: frozenset[Action]) -> Action:
     return max((a for a in Action if a in candidates), key=lambda a: scores[a])
 
 
-def _input(focus: CatalogNode, segment: Segment) -> ScoringInput:
-    """What a scorer sees at a step, in decoding and in training alike."""
-    return ScoringInput(focus.kind, focus.content, segment.text)
-
-
 def decode(
     segments: Sequence[Segment],
     scorer: ActionScorer,
@@ -87,18 +82,20 @@ def decode(
 ) -> tuple[CatalogTree, DecodeTrace]:
     """Parse a segment stream into a catalog tree.
 
-    Each step scores the (focus, next segment) pair and applies the
-    scorer's argmax when it is legal, else the best legal action (a
-    forced step). Unconstrained decoding (the ablation) drops the
-    text-leaf and concat-after-children rules from the legal set, so it
-    may attach children to a text node. Every step consumes a segment or
+    Each step scores the (focus, next segment) pair through the
+    scorer's session for this document and applies the scorer's argmax
+    when it is legal, else the best legal action (a forced step).
+    Unconstrained decoding (the ablation) drops the text-leaf and
+    concat-after-children rules from the legal set, so it may attach
+    children to a text node. Every step consumes a segment or
     strictly shrinks the focus depth, so decoding always terminates.
     """
     steps: list[DecodeStep] = []
+    session = scorer.session(segments, joiner)
 
     def choose(state: TransitionState, segment: Segment, legal: frozenset[Action]) -> Action:
         focus = state.focus
-        result = scorer.score_input(_input(focus, segment))
+        result = session.score(focus, segment)
         raw = Action(result.best)
         chosen = raw if raw in legal else _best_of(result.probabilities, legal)
         opener = focus.source_segments[0] if focus.source_segments else None
@@ -169,7 +166,7 @@ def _replay(
             raise OracleError(f"the actions end before segment {segment.index}")
         if action is not Action.REDUCE and index != segment.index:
             raise OracleError(f"{action.name} names segment {index} at segment {segment.index}")
-        examples.append((_input(state.focus, segment), action))
+        examples.append((step_input(state.focus, segment), action))
         return action
 
     tree = _run(segments, choose, joiner, constrained=True)

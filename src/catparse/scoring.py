@@ -19,6 +19,17 @@ columns the training examples touch, and both moments are as wide as
 that footprint, not ``dim``. Each batch updates only its own columns,
 catching up lazily on the steps they skipped. A model file stores the
 columns and their weights, so it too is as large as the footprint.
+
+Decoding hashes each text once per document. ``LinearModel.session``
+hashes every segment's ``^text$`` under both namespaces, one kernel call
+per ``DECODE_CHUNK_CHARS`` characters. Each node keeps the ``s:`` counts
+of its content; a ``concat`` of piece B onto content A adds B's ``s:``
+counts, retracts the three grams that hold A's closing ``$`` and the
+three that hold B's opening ``^``, and adds the few grams that cross the
+joiner. Counts add, so a step's focus counts plus its segment's ``q:``
+counts are the counts ``featurize`` hashes from the whole texts, and
+they are normalized and scored the same way: features, logits and trees
+are byte-identical.
 """
 from __future__ import annotations
 
@@ -31,11 +42,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .tree import TERMINAL_PUNCTUATION, NodeKind
+from .tree import TERMINAL_PUNCTUATION, CatalogNode, NodeKind, Segment
 
 DEFAULT_DIM = 1 << 18
 # A model file may not claim more features: each head holds a lookup
@@ -117,12 +128,34 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum()
 
 
+def step_input(focus: CatalogNode, segment: Segment) -> ScoringInput:
+    """What a scorer sees at a step, in decoding and in training alike."""
+    return ScoringInput(focus.kind, focus.content, segment.text)
+
+
+class ScoringSession:
+    """Scores the steps of one document's decode: ``score(focus, segment)``
+    scores the four actions for the focus node and the incoming segment.
+    This one hands each step's ``ScoringInput`` to the scorer."""
+
+    def __init__(self, scorer: "ActionScorer"):
+        self.scorer = scorer
+
+    def score(self, focus: CatalogNode, segment: Segment) -> ActionScores:
+        return self.scorer.score_input(step_input(focus, segment))
+
+
 class ActionScorer(ABC):
     """Anything that can score the four actions for a (focus, segment) pair."""
 
     @abstractmethod
     def score_input(self, inp: ScoringInput) -> ActionScores:
         ...
+
+    def session(self, segments: Sequence[Segment], joiner: str) -> ScoringSession:
+        """A session for decoding ``segments``, whose ``concat`` steps
+        join pieces with ``joiner``."""
+        return ScoringSession(self)
 
 
 @dataclass(frozen=True)
@@ -211,32 +244,69 @@ _CRC32_TABLE = _crc32_table()
 # About this many characters go through one kernel call; a bigger chunk
 # holds more per-character arrays at once and runs no faster.
 HASH_CHUNK_CHARS = 50_000
+# Decode hashes one document at a time, in smaller chunks: the session
+# holds the document's grams, and a chunk's per-character arrays on top
+# of them set the peak memory of a predict run.
+DECODE_CHUNK_CHARS = 10_000
+# The hash namespaces of the focus text and of the segment text.
+_FOCUS_NS = b"s:"
+_SEGMENT_NS = b"q:"
 
 
 def _hash_ngrams(
-    rows: Sequence[tuple[str, str]], seed: int, buckets: int
+    rows: Sequence[Sequence[tuple[bytes, str]]], seed: int, buckets: int
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Sorted n-gram features of each row's ``^focus$`` and ``^segment$``
-    (formula in the module docstring, ``buckets = dim - INDICATOR_SLOTS``)
-    with their counts, for many (focus, segment) rows at once.
+    """Sorted n-gram features of each row's texts with their counts, for
+    many rows at once. A row is a sequence of (namespace, text) pairs;
+    every gram of each padded ``^text$`` counts once in the column the
+    module docstring's formula gives under that namespace (``buckets =
+    dim - INDICATOR_SLOTS``).
 
     Returns the columns and counts of all rows back to back, row by row,
-    and the offset where each row's run ends. All padded texts go through
-    one table-driven CRC-32 pass, equal to ``zlib.crc32`` bit for bit: one
+    and the offset where each row's run ends. All padded texts are joined
+    and hashed in one pass (``_gram_crcs``). One ``np.unique`` keyed by
+    ``row * buckets + column`` then counts each row's columns apart from
+    its neighbours' (one row is keyed by its column alone).
+    """
+    texts = [pair for row in rows for pair in row]
+    lengths = [len(piece) + 2 for _, piece in texts]
+    ends = list(accumulate(lengths))
+    # A CRC-32 register holds the complement of the running value; each
+    # text's registers start from its namespace.
+    namespaces = {ns for ns, _ in texts}
+    start_of = {ns: zlib.crc32(ns, seed & 0xFFFFFFFF) ^ 0xFFFFFFFF for ns in namespaces}
+    buckets_of = _gram_crcs(
+        "".join(["^" + piece + "$" for _, piece in texts]),
+        np.repeat(np.array([start_of[ns] for ns, _ in texts], np.uint32), lengths),
+        list(zip([0] + ends, ends)),
+    )
+    buckets_of %= buckets
+    if len(rows) == 1:
+        found, counts = np.unique(buckets_of, return_counts=True)
+        return INDICATOR_SLOTS + found.astype(np.int64), counts, [len(found)]
+    # A padded text of L characters has L - n grams of n + 1 characters.
+    per_text = [length - n for n in range(3) for length in lengths]
+    text_row = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    keys = np.repeat(np.tile(text_row, 3), per_text)
+    keys *= buckets
+    keys += buckets_of
+    keys, counts = np.unique(keys, return_counts=True)
+    row_ends = np.searchsorted(keys, np.arange(1, len(rows) + 1) * buckets).tolist()
+    return INDICATOR_SLOTS + keys % buckets, counts, row_ends
+
+
+def _gram_crcs(text: str, register: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
+    """The ``zlib.crc32`` of every 1-, 2- and 3-gram of ``text`` that lies
+    inside one of ``spans``: all 1-grams span by span, then the 2-grams,
+    then the 3-grams. ``register[i]`` holds the complemented running value
+    the grams starting at character i start from.
+
+    A table-driven CRC-32 pass, equal to ``zlib.crc32`` bit for bit: one
     register per starting character absorbs the bytes of that character,
     then of the next two, and is read out after each, which gives all
-    three gram lengths at once. Each text's grams are taken as a slice, so
-    grams that run from one text into the next are dropped. One
-    ``np.unique`` keyed by ``row * buckets + column`` then counts each
-    row's columns apart from its neighbours' (one row is keyed by its
-    column alone).
+    three gram lengths at once. Each span's grams are taken as a slice, so
+    grams that run from one span into the next are dropped.
     """
-    text = "".join(["^" + focus + "$^" + segment + "$" for focus, segment in rows])
-    lengths: list[int] = []
-    for focus, segment in rows:
-        lengths += (len(focus) + 2, len(segment) + 2)
-    ends = list(accumulate(lengths))
-    spans = list(zip([0] + ends, ends))
     # Four NUL bytes after the text: the first marks the end of the last
     # character, all four keep byte reads of a 4-byte character in range.
     data = np.frombuffer((text + "\0\0\0\0").encode("utf-8"), np.uint8)
@@ -249,13 +319,6 @@ def _hash_ngrams(
     columns = [data[starts + k] for k in range(width)]
     # wider[k][c]: character c has a byte k (every character has byte 0).
     wider = [None] + [widths > k for k in range(1, width)]
-    # A CRC-32 register holds the complement of the running value. Each
-    # row's focus text starts from the focus namespace, its segment text
-    # from the segment namespace.
-    register = np.full(len(text), zlib.crc32(b"q:", seed & 0xFFFFFFFF) ^ 0xFFFFFFFF, np.uint32)
-    focus_start = zlib.crc32(b"s:", seed & 0xFFFFFFFF) ^ 0xFFFFFFFF
-    for start, end in spans[::2]:
-        register[start:end] = focus_start
     grams = []
     for n in range(3):
         # The register of the gram starting at character i absorbs character i+n.
@@ -263,19 +326,28 @@ def _hash_ngrams(
         for k in range(width):
             update = _CRC32_TABLE[(register ^ columns[k][n:]) & 0xFF] ^ (register >> 8)
             register = update if k == 0 else np.where(wider[k][n:], update, register)
-        # Grams starting in a text's last n characters run into the next.
+        # Grams starting in a span's last n characters run into the next.
         for start, end in spans:
             grams.append(register[start : end - n])
-    buckets_of = (~np.concatenate(grams)).astype(np.int64) % buckets
-    if len(rows) == 1:
-        found, counts = np.unique(buckets_of, return_counts=True)
-        return INDICATOR_SLOTS + found, counts, [len(found)]
-    # A padded text of L characters has L - n grams of n + 1 characters.
-    per_text = [length - n for n in range(3) for length in lengths]
-    row_of = np.repeat(np.tile(np.arange(len(rows)).repeat(2), 3), per_text)
-    keys, counts = np.unique(row_of * buckets + buckets_of, return_counts=True)
-    row_ends = np.searchsorted(keys, np.arange(1, len(rows) + 1) * buckets).tolist()
-    return INDICATOR_SLOTS + keys % buckets, counts, row_ends
+    return ~np.concatenate(grams)
+
+
+def _hash_chunks(
+    rows: Iterable[Sequence[tuple[bytes, str]]], seed: int, buckets: int, chunk_chars: int
+):
+    """``_hash_ngrams`` over ``rows``, one kernel call per ``chunk_chars``
+    characters: yields the number of rows in each chunk with the kernel's
+    output for them. Only one chunk's rows are held at a time."""
+    chunk: list[Sequence[tuple[bytes, str]]] = []
+    chars = 0
+    for row in rows:
+        chunk.append(row)
+        chars += sum(len(text) for _, text in row)
+        if chars >= chunk_chars:
+            yield len(chunk), *_hash_ngrams(chunk, seed, buckets)
+            chunk, chars = [], 0
+    if chunk:
+        yield len(chunk), *_hash_ngrams(chunk, seed, buckets)
 
 
 def _with_indicators(
@@ -327,6 +399,11 @@ def _with_indicators(
     return np.concatenate([indicators, grams]), np.concatenate([np.ones(len(counts)), values])
 
 
+def _row(inp: ScoringInput) -> tuple[tuple[bytes, str], tuple[bytes, str]]:
+    """The kernel row of one scoring input: its focus and segment texts."""
+    return (_FOCUS_NS, inp.focus_text), (_SEGMENT_NS, inp.segment_text)
+
+
 def featurize(
     inp: ScoringInput, hash_seed: int = 0, dim: int = DEFAULT_DIM
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -340,13 +417,16 @@ def featurize(
     L2-normalized so the indicators keep a stable share of the margin.
     Deterministic for a fixed hash seed.
     """
-    grams, counts, _ = _hash_ngrams(
-        [(inp.focus_text, inp.segment_text)], hash_seed, dim - INDICATOR_SLOTS
-    )
+    grams, counts, _ = _hash_ngrams([_row(inp)], hash_seed, dim - INDICATOR_SLOTS)
+    return _with_indicators(inp, grams, _normalized(counts))
+
+
+def _normalized(counts: np.ndarray) -> np.ndarray:
+    """One row's gram counts divided by their L2 norm."""
     values = counts.astype(np.float64)
     # The counts are integers, so their sum of squares is exact in any order.
     values /= np.sqrt(np.sum(values**2))
-    return _with_indicators(inp, grams, values)
+    return values
 
 
 def featurize_many(
@@ -355,22 +435,16 @@ def featurize_many(
     """``[featurize(inp, hash_seed, dim) for inp in inputs]``, array for
     array, from one kernel call per ``HASH_CHUNK_CHARS`` characters."""
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    start = chars = 0
-    for stop, inp in enumerate(inputs, 1):
-        chars += len(inp.focus_text) + len(inp.segment_text)
-        if chars < HASH_CHUNK_CHARS and stop < len(inputs):
-            continue
-        chunk, start, chars = inputs[start:stop], stop, 0
-        grams, counts, ends = _hash_ngrams(
-            [(x.focus_text, x.segment_text) for x in chunk], hash_seed, dim - INDICATOR_SLOTS
-        )
+    rows = (_row(inp) for inp in inputs)
+    buckets = dim - INDICATOR_SLOTS
+    for count, grams, counts, ends in _hash_chunks(rows, hash_seed, buckets, HASH_CHUNK_CHARS):
         values = counts.astype(np.float64)
-        row_of = np.repeat(np.arange(len(chunk)), np.diff(ends, prepend=0))
+        row_of = np.repeat(np.arange(count), np.diff(ends, prepend=0))
         # Every row has grams, and integer sums of squares are exact.
         values /= np.sqrt(np.bincount(row_of, weights=values**2))[row_of]
         out += [
             _with_indicators(x, grams[begin:end], values[begin:end])
-            for x, begin, end in zip(chunk, [0] + ends, ends)
+            for x, begin, end in zip(inputs[len(out) : len(out) + count], [0] + ends, ends)
         ]
     return out
 
@@ -445,11 +519,148 @@ class LinearModel(ActionScorer):
     def score_input(self, inp: ScoringInput) -> ActionScores:
         return score(inp, self)
 
+    def session(self, segments: Sequence[Segment], joiner: str) -> ScoringSession:
+        # Nodes name their pieces by segment index, so the counts kept
+        # per node need every index to name one segment.
+        if len({segment.index for segment in segments}) < len(segments):
+            return ScoringSession(self)
+        return _FeatureSession(self, segments, joiner)
+
 
 def score(inp: ScoringInput, model: LinearModel) -> ActionScores:
     """Score the four actions for one input with a 4-class model."""
     indices, values = featurize(inp, model.hash_seed, model.dim)
     return ActionScores.from_logits(model.logits_for(indices, values))
+
+
+@dataclass
+class _NodeGrams:
+    """The ``s:`` gram columns of a node's content, sorted, with their counts."""
+
+    columns: np.ndarray
+    counts: np.ndarray
+    pieces: int  # how many of the node's segments the counts cover
+    tail: str  # the last two characters of ``^content``
+
+
+class _FeatureSession(ScoringSession):
+    """``LinearModel``'s session: each text of the document is hashed once.
+
+    Before the first step, the kernel hashes every segment's ``^text$``
+    under both namespaces, and ``^$`` (the root's content) under ``s:``.
+    A node keeps its content's ``s:`` counts, keyed by the index of the
+    segment that opened it; a ``concat`` updates them in place of
+    hashing the grown content again. A step adds the segment's ``q:`` counts to the focus
+    counts and then does what ``featurize`` does with the same sorted
+    counts, so the features are ``featurize``'s, array for array.
+    """
+
+    def __init__(self, model: LinearModel, segments: Sequence[Segment], joiner: str):
+        super().__init__(model)
+        self._segments = segments
+        self._joiner = joiner
+        self._position = {segment.index: i for i, segment in enumerate(segments)}
+        texts = [(ns, segment.text) for ns in (_FOCUS_NS, _SEGMENT_NS) for segment in segments]
+        texts.append((_FOCUS_NS, ""))
+        grams: list[tuple[np.ndarray, np.ndarray]] = []
+        rows = ((text,) for text in texts)
+        buckets = model.dim - INDICATOR_SLOTS
+        for _, columns, counts, ends in _hash_chunks(
+            rows, model.hash_seed, buckets, DECODE_CHUNK_CHARS
+        ):
+            # int32 holds every column below MAX_DIM and every count, in half
+            # the memory of the kernel's int64; the cache holds a document.
+            columns, counts = columns.astype(np.int32), counts.astype(np.int32)
+            grams += [(columns[a:b], counts[a:b]) for a, b in zip([0] + ends, ends)]
+        self._focus_grams = grams[: len(segments)]
+        self._segment_grams = grams[len(segments) : -1]
+        self._nodes = {None: _NodeGrams(*grams[-1], pieces=0, tail="^")}
+
+    def _node(self, focus: CatalogNode) -> _NodeGrams:
+        """The focus's counts, brought up to its current content."""
+        pieces = focus.source_segments
+        key = pieces[0] if pieces else None
+        node = self._nodes.get(key)
+        if node is None:
+            position = self._position[key]
+            text = self._segments[position].text
+            node = _NodeGrams(*self._focus_grams[position], pieces=1, tail=("^" + text)[-2:])
+            self._nodes[key] = node
+        for index in pieces[node.pieces :]:
+            position = self._position[index]
+            piece = self._segments[position].text
+            added, retracted = _boundary_grams(
+                node.tail, self._joiner, (piece + "$")[:2], self.scorer.hash_seed, self.scorer.dim
+            )
+            columns, counts = self._focus_grams[position]
+            node.columns, node.counts = _summed(
+                [node.columns, columns, added, retracted],
+                [node.counts, counts, np.ones_like(added), -np.ones_like(retracted)],
+            )
+            node.tail = (node.tail + self._joiner + piece)[-2:]
+            node.pieces += 1
+        return node
+
+    def score(self, focus: CatalogNode, segment: Segment) -> ActionScores:
+        node = self._node(focus)
+        columns, counts = self._segment_grams[self._position[segment.index]]
+        columns, counts = _summed([node.columns, columns], [node.counts, counts])
+        indices, values = _with_indicators(
+            step_input(focus, segment), columns, _normalized(counts)
+        )
+        return ActionScores.from_logits(self.scorer.logits_for(indices, values))
+
+
+def _boundary_grams(
+    tail: str, joiner: str, head: str, seed: int, dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``s:`` columns that joining content A and piece B adds and retracts.
+
+    ``tail`` holds the last two characters of ``^A`` and ``head`` the
+    first two of ``B$``. The grams of ``^A + joiner + B$`` are those of
+    ``^A$`` and of ``^B$`` less the three that hold A's closing ``$`` and
+    the three that hold B's opening ``^``, plus those that lie in neither
+    ``^A`` nor ``B$``, which all lie in ``tail + joiner + head``. Each is
+    hashed with ``zlib.crc32`` as the module docstring says.
+    """
+    base = zlib.crc32(_FOCUS_NS, seed & 0xFFFFFFFF)
+    buckets = dim - INDICATOR_SLOTS
+
+    def over(text: str, lo: int, hi: int) -> np.ndarray:
+        # The grams of ``text`` that start before ``hi`` and end after
+        # ``lo``: those that overlap text[lo:hi], or span position lo if
+        # that is empty.
+        return np.array(
+            [
+                INDICATOR_SLOTS + zlib.crc32(text[i : i + n].encode("utf-8"), base) % buckets
+                for n in (1, 2, 3)
+                for i in range(max(0, lo - n + 1), min(hi, len(text) - n + 1))
+            ],
+            dtype=np.int64,
+        )
+
+    added = over(tail + joiner + head, len(tail), len(tail) + len(joiner))
+    retracted = np.concatenate([over(tail + "$", len(tail), len(tail) + 1), over("^" + head, 0, 1)])
+    return added, retracted
+
+
+def _summed(
+    columns: Sequence[np.ndarray], counts: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each column once, sorted, with its counts summed; columns whose
+    counts sum to 0 are dropped."""
+    columns, counts = np.concatenate(columns), np.concatenate(counts)
+    # The node's and the segment's columns are sorted runs, which the
+    # stable sort merges in linear time.
+    order = columns.argsort(kind="stable")
+    columns, counts = columns[order], counts[order]
+    first = np.empty(len(columns), dtype=bool)
+    first[0] = True
+    np.not_equal(columns[1:], columns[:-1], out=first[1:])
+    starts = first.nonzero()[0]
+    columns, counts = columns[starts], np.add.reduceat(counts, starts)
+    kept = counts != 0
+    return columns[kept], counts[kept]
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import json
 import sys
 import time
 
@@ -133,6 +134,37 @@ def test_child_that_never_reads_times_out_the_write():
         with pytest.raises(BridgeIO):
             bridge.score_raw("text", "x" * 300_000, "q")
         assert time.monotonic() - started < 4.0
+
+
+class RecordingStdin:
+    """A bridge child's stdin that keeps the bytes each write sends."""
+
+    def __init__(self, raw):
+        self._raw = raw
+        self.sent = bytearray()
+
+    def write(self, data):
+        written = self._raw.write(data)
+        self.sent += bytes(data[: written or 0])
+        return written
+
+    def __getattr__(self, attr):
+        return getattr(self._raw, attr)
+
+
+def test_requests_go_through_the_stdin_object():
+    # The 300 KB request fills the pipe, so its write is retried.
+    requests = [("root", "", "q"), ("heading", "第一章", "x" * 300_000), ("text", "a\"b", "c")]
+    with ScorerBridge(bridge_program(ECHO_FIXED)) as bridge:
+        stdin = bridge._proc.stdin = RecordingStdin(bridge._proc.stdin)
+        for kind, focus, segment in requests:
+            bridge.score_raw(kind, focus, segment)
+    expected = b"".join(
+        json.dumps({"id": i, "s_kind": kind, "s": focus, "q": segment}, ensure_ascii=False)
+        .encode("utf-8") + b"\n"
+        for i, (kind, focus, segment) in enumerate(requests)
+    )
+    assert bytes(stdin.sent) == expected
 
 
 def test_unlaunchable_command_is_io_error():
