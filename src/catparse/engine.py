@@ -89,7 +89,10 @@ def decode(
     concat-after-children rules from the legal set, so it may attach
     children to a text node. Every step consumes a segment or
     strictly shrinks the focus depth, so decoding always terminates.
+    Segment indices must be stream positions, as in a tree.
     """
+    if any(segment.index != position for position, segment in enumerate(segments)):
+        raise ValueError("segment indices must run 0, 1, ..., n-1 in stream order")
     steps: list[DecodeStep] = []
     session = scorer.session(segments, joiner)
 

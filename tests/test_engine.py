@@ -128,6 +128,12 @@ class TestDecode:
         tree, trace = decode([Segment("a", 0)], ConstantScorer(Action.SUB_TEXT))
         assert abs(sum(trace.steps[0].scores) - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("indices", [[0, 0], [1, 2], [1, 0]])
+    def test_indices_must_be_stream_positions(self, indices):
+        segments = [Segment(f"s{i}", i) for i in indices]
+        with pytest.raises(ValueError, match="segment indices"):
+            decode(segments, ConstantScorer(Action.SUB_TEXT))
+
 
 class TestOracle:
     def test_walkthrough_actions(self, walkthrough):

@@ -1,10 +1,11 @@
 """Decode scores a ``LinearModel`` through a per-document session that
 hashes each text once and keeps per-node gram counts. Its features must
-be ``featurize``'s at every step, and its work must not grow with the
-length of a ``concat`` chain."""
+be ``featurize``'s at every step, its work must not grow with the length
+of a ``concat`` chain, and its memory must not grow with the document."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from datetime import timedelta
 from unittest import mock
 
@@ -122,17 +123,6 @@ def test_session_features_equal_featurize_at_every_step(
         assert np.array_equal(indices, loop_indices) and np.array_equal(values, loop_values)
 
 
-def test_repeated_segment_indices_are_scored_afresh():
-    # Nodes name their pieces by index, which must name one segment each.
-    segments = [Segment(text, 0) for text in ("1 Scope", "x", "y", "2 Terms")]
-    model = random_head(1000, 3, np.random.default_rng(0), 3.0)
-    got = traced_decode(segments, model, True, " ", None)
-    want = traced_decode(segments, Stateless(model), True, " ", None)
-    assert got[:2] == want[:2]
-    for (indices, values), (ref_indices, ref_values) in zip(got[2], want[2]):
-        assert np.array_equal(indices, ref_indices) and np.array_equal(values, ref_values)
-
-
 def hashed_characters(segments: list[Segment], joiner: str) -> int:
     """Characters the kernel and the boundary-gram hashing take while
     decoding ``segments`` into one text node with a head that favours
@@ -161,3 +151,27 @@ def test_hashed_characters_per_segment_do_not_grow_with_the_chain():
         ]
         mean_piece = sum(len(s.text) for s in segments) / n
         assert hashed_characters(segments, " ") / n < 3 * mean_piece
+
+
+def decode_working_memory(n: int) -> int:
+    """Bytes decode holds at its peak beyond what it returns, for a flat
+    document of ``n`` short text nodes."""
+    rng = np.random.default_rng(1)
+    letters = np.array(list("abcdefghij klmnopqrstuvwxyz"))
+    segments = [Segment("".join(rng.choice(letters, size=40)).join("xy"), i) for i in range(n)]
+    model = LinearModel.create(dim=1 << 12)
+    # sub_text, then a forced reduce back to the root, for every segment
+    model.bias[:] = [0.0, 5.0, 0.0, 1.0]
+    tracemalloc.start()
+    try:
+        tree, _ = decode(segments, model, True, " ")
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tree.root.children) == n
+    return peak - current
+
+
+def test_session_memory_does_not_grow_with_the_document():
+    # Holding every segment's grams would take about 2 KB more per segment.
+    assert decode_working_memory(2000) < 2 * decode_working_memory(500)
