@@ -4,9 +4,10 @@ The protocol is line-delimited JSON over the child's standard streams.
 Request:  ``{"id": int, "s_kind": "root"|"heading"|"text", "s": str, "q": str}``
 Response: ``{"id": int, "logits": [4 floats]}``
 
-One bridge handle serves one in-flight request at a time; open several
-handles for parallel scoring. Responses must echo the request id and
-carry exactly four finite logits.
+A ``ScorerBridge`` is an ``ActionScorer``: each decode step is one
+request. One bridge handle serves one in-flight request at a time; open
+several handles for parallel scoring. Responses must echo the request id
+and carry exactly four finite logits.
 """
 from __future__ import annotations
 
@@ -31,8 +32,8 @@ class BridgeProtocol(Exception):
     """The child produced a malformed response."""
 
 
-class ScorerBridge:
-    """Owns the child process and the request/response cycle."""
+class ScorerBridge(ActionScorer):
+    """Owns the child process and scores through its request/response cycle."""
 
     def __init__(self, command: str | list[str], timeout: float = DEFAULT_TIMEOUT):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
@@ -136,15 +137,6 @@ class ScorerBridge:
             raise BridgeProtocol("logits must be finite")
         return values
 
-
-class BridgeScorer(ActionScorer):
-    """Adapter that lets the decoder score through a bridge handle."""
-
-    def __init__(self, bridge: ScorerBridge):
-        self.bridge = bridge
-
     def score_input(self, inp: ScoringInput) -> ActionScores:
-        logits = self.bridge.score_raw(
-            inp.focus_kind.value, inp.focus_text, inp.segment_text
-        )
+        logits = self.score_raw(inp.focus_kind.value, inp.focus_text, inp.segment_text)
         return ActionScores.from_logits(logits)

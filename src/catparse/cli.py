@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 
 from . import baselines, corpus, engine, jsonio, methods, metrics, scoring
-from .bridge import BridgeIO, BridgeProtocol, BridgeScorer, ScorerBridge
+from .bridge import BridgeIO, BridgeProtocol, ScorerBridge
 from .manifest import write_manifest
 from .scoring import EmptyTrainingSet
 from .tree import MAX_DEPTH, Segment, iter_nodes
@@ -319,7 +319,7 @@ def _load_heads(scorer_spec, method, resources: ExitStack) -> tuple:
     with ``resources``, which closes it."""
     kind, rest = _parse_scorer_spec(scorer_spec)
     if kind == "bridge":
-        return (BridgeScorer(resources.enter_context(ScorerBridge(rest))),)
+        return (resources.enter_context(ScorerBridge(rest)),)
     return methods.load_heads(rest, method)
 
 

@@ -181,9 +181,7 @@ class GenConfig:
     numbered_fraction: float = 0.85
     text_length_range: tuple[int, int] = (60, 200)
     seed: int = 0
-    leaf_heading_fraction: float = 0.12
     texts_per_heading: tuple[int, int] = (1, 3)
-    max_nodes: int = 450
 
     def __post_init__(self) -> None:
         # depth counts the pseudo root, so nodes sit at levels 1..hi-1
@@ -194,6 +192,11 @@ class GenConfig:
         if not 0.0 <= self.numbered_fraction <= 1.0:
             raise ValueError("numbered fraction must lie in [0, 1]")
 
+
+# The chance that a generated heading is left without children, and the
+# most nodes one generated tree holds.
+LEAF_HEADING_FRACTION = 0.12
+MAX_NODES = 450
 
 _HEADING_WORDS = (
     "总则 概述 市场 分析 风险 管理 财务 状况 评级 报告 债务 情况 担保 公司 治理 "
@@ -295,7 +298,7 @@ def _generate_tree(rng: np.random.Generator, cfg: GenConfig) -> CatalogTree:
     max_level = depth - 1
     deepest_heading = max(1, max_level - 1)
     style = "cjk" if rng.random() < 0.4 else "arabic"
-    budget = {"left": cfg.max_nodes}
+    budget = {"left": MAX_NODES}
     plain_share = 1.0 - cfg.numbered_fraction
 
     def texts(parent: CatalogNode, at_most: int | None = None) -> None:
@@ -323,7 +326,7 @@ def _generate_tree(rng: np.random.Generator, cfg: GenConfig) -> CatalogTree:
             budget["left"] -= 1
             node = CatalogNode(kind=NodeKind.HEADING, content=_title(rng, long_ok=False))
             parent.children.append(node)
-            if level < max_level and rng.random() >= cfg.leaf_heading_fraction:
+            if level < max_level and rng.random() >= LEAF_HEADING_FRACTION:
                 texts(node)
 
     def headings(parent: CatalogNode, level: int, path: tuple[int, ...]) -> None:
@@ -339,7 +342,7 @@ def _generate_tree(rng: np.random.Generator, cfg: GenConfig) -> CatalogTree:
             parent.children.append(node)
             if max_level == 1:
                 continue
-            if rng.random() < cfg.leaf_heading_fraction:
+            if rng.random() < LEAF_HEADING_FRACTION:
                 continue
             if level >= deepest_heading:
                 texts(node)

@@ -112,9 +112,10 @@ def decode(
 def gold_owners(gold: CatalogTree) -> list[tuple[CatalogNode, int]]:
     """The node that owns each segment, with its level, in stream order.
 
-    Raises ``OracleError`` unless the root owns no segment and a pre-order
-    walk meets every other node with at least one segment, the indices
-    running exactly 0, 1, ..., n-1: the trees a transition sequence rebuilds.
+    Raises ``OracleError`` unless the root owns no segment, no text node
+    has children, and a pre-order walk meets every other node with at
+    least one segment, the indices running exactly 0, 1, ..., n-1: the
+    trees a constrained transition sequence rebuilds.
     """
     if gold.root.source_segments:
         raise OracleError("the root must not own segments")
@@ -122,6 +123,8 @@ def gold_owners(gold: CatalogTree) -> list[tuple[CatalogNode, int]]:
     for node, level in iter_nodes(gold):
         if not node.source_segments:
             raise OracleError(f"a {node.kind.value} node at level {level} owns no segment")
+        if node.kind is NodeKind.TEXT and node.children:
+            raise OracleError(f"a text node at level {level} has children")
         for index in node.source_segments:
             if index != len(owners):
                 raise OracleError(

@@ -75,8 +75,9 @@ def parse_tree(obj: Any, path: str = "$") -> CatalogTree:
     """Parse a NODE object into a tree, validating the schema.
 
     Structural rules are enforced here as well: the top node must be the
-    root, roots may not nest, text nodes may not have children, and no
-    node sits deeper than ``MAX_DEPTH``.
+    root, roots may not nest, and no node sits deeper than ``MAX_DEPTH``.
+    Text nodes may have children, as the unconstrained ablation's
+    predictions do; ``engine.gold_owners`` refuses them in gold trees.
     """
     root = _parse_node(obj, path, depth=0)
     return CatalogTree(root=root)
@@ -113,8 +114,6 @@ def _parse_node(obj: Any, path: str, depth: int) -> CatalogNode:
     children_obj = obj.get("children", [])
     if not isinstance(children_obj, list):
         raise SchemaError(f"{path}.children", "must be a list")
-    if kind is NodeKind.TEXT and children_obj:
-        raise SchemaError(f"{path}.children", "text nodes must be leaves")
     if kind is NodeKind.ROOT and content:
         raise SchemaError(f"{path}.content", "root content must be empty")
 

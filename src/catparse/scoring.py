@@ -20,17 +20,19 @@ that footprint, not ``dim``. Each batch updates only its own columns,
 catching up lazily on the steps they skipped. A model file stores the
 columns and their weights, so it too is as large as the footprint.
 
-Decoding hashes each text once per document. ``LinearModel.session``
-hashes every segment's ``^text$`` under both namespaces as the decode
-reaches it, one kernel call per ``DECODE_CHUNK_CHARS`` characters, and
-lets go of what no later step reads. Each node keeps the ``s:`` counts
-of its content; a ``concat`` of piece B onto content A adds B's ``s:``
-counts, retracts the three grams that hold A's closing ``$`` and the
-three that hold B's opening ``^``, and adds the few grams that cross the
-joiner. Counts add, so a step's focus counts plus its segment's ``q:``
-counts are the counts ``featurize`` hashes from the whole texts, and
-they are normalized and scored the same way: features, logits and trees
-are byte-identical.
+``decode`` scores each step through the scorer's session for the
+document. A scorer that scores each step's input on its own, such as the
+bridge, is its own session. A ``LinearModel``'s session hashes each text
+once per document: every segment's ``^text$`` under both namespaces as
+the decode reaches it, one kernel call per ``DECODE_CHUNK_CHARS``
+characters, letting go of what no later step reads. Each node keeps the
+``s:`` counts of its content; a ``concat`` of piece B onto content A
+adds B's ``s:`` counts, retracts the three grams that hold A's closing
+``$`` and the three that hold B's opening ``^``, and adds the few grams
+that cross the joiner. Counts add, so a step's focus counts plus its
+segment's ``q:`` counts are the counts ``featurize`` hashes from the
+whole texts, and they are normalized and scored the same way: features,
+logits and trees are byte-identical.
 """
 from __future__ import annotations
 
@@ -134,18 +136,6 @@ def step_input(focus: CatalogNode, segment: Segment) -> ScoringInput:
     return ScoringInput(focus.kind, focus.content, segment.text)
 
 
-class ScoringSession:
-    """Scores the steps of one document's decode: ``score(focus, segment)``
-    scores the four actions for the focus node and the incoming segment.
-    This one hands each step's ``ScoringInput`` to the scorer."""
-
-    def __init__(self, scorer: "ActionScorer"):
-        self.scorer = scorer
-
-    def score(self, focus: CatalogNode, segment: Segment) -> ActionScores:
-        return self.scorer.score_input(step_input(focus, segment))
-
-
 class ActionScorer(ABC):
     """Anything that can score the four actions for a (focus, segment) pair."""
 
@@ -153,10 +143,16 @@ class ActionScorer(ABC):
     def score_input(self, inp: ScoringInput) -> ActionScores:
         ...
 
-    def session(self, segments: Sequence[Segment], joiner: str) -> ScoringSession:
-        """A session for decoding ``segments``, whose ``concat`` steps
-        join pieces with ``joiner``."""
-        return ScoringSession(self)
+    def session(self, segments: Sequence[Segment], joiner: str):
+        """What ``decode`` scores the steps of ``segments`` with, whose
+        ``concat`` steps join pieces with ``joiner``: anything with
+        ``score(focus, segment)``. A scorer that scores each step's input
+        alone is its own session."""
+        return self
+
+    def score(self, focus: CatalogNode, segment: Segment) -> ActionScores:
+        """Score the four actions for the focus node and the incoming segment."""
+        return self.score_input(step_input(focus, segment))
 
 
 @dataclass(frozen=True)
@@ -267,7 +263,7 @@ def _hash_ngrams(
     and the offset where each row's run ends. All padded texts are joined
     and hashed in one pass (``_gram_crcs``). One ``np.unique`` keyed by
     ``row * buckets + column`` then counts each row's columns apart from
-    its neighbours' (one row is keyed by its column alone).
+    its neighbours'.
     """
     texts = [pair for row in rows for pair in row]
     lengths = [len(piece) + 2 for _, piece in texts]
@@ -282,9 +278,6 @@ def _hash_ngrams(
         list(zip([0] + ends, ends)),
     )
     buckets_of %= buckets
-    if len(rows) == 1:
-        found, counts = np.unique(buckets_of, return_counts=True)
-        return INDICATOR_SLOTS + found.astype(np.int64), counts, [len(found)]
     # A padded text of L characters has L - n grams of n + 1 characters.
     per_text = [length - n for n in range(3) for length in lengths]
     text_row = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
@@ -400,11 +393,6 @@ def _with_indicators(
     return np.concatenate([indicators, grams]), np.concatenate([np.ones(len(counts)), values])
 
 
-def _row(inp: ScoringInput) -> tuple[tuple[bytes, str], tuple[bytes, str]]:
-    """The kernel row of one scoring input: its focus and segment texts."""
-    return (_FOCUS_NS, inp.focus_text), (_SEGMENT_NS, inp.segment_text)
-
-
 def featurize(
     inp: ScoringInput, hash_seed: int = 0, dim: int = DEFAULT_DIM
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -418,8 +406,7 @@ def featurize(
     L2-normalized so the indicators keep a stable share of the margin.
     Deterministic for a fixed hash seed.
     """
-    grams, counts, _ = _hash_ngrams([_row(inp)], hash_seed, dim - INDICATOR_SLOTS)
-    return _with_indicators(inp, grams, _normalized(counts))
+    return featurize_many([inp], hash_seed, dim)[0]
 
 
 def _normalized(counts: np.ndarray) -> np.ndarray:
@@ -433,10 +420,10 @@ def _normalized(counts: np.ndarray) -> np.ndarray:
 def featurize_many(
     inputs: Sequence[ScoringInput], hash_seed: int = 0, dim: int = DEFAULT_DIM
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``[featurize(inp, hash_seed, dim) for inp in inputs]``, array for
-    array, from one kernel call per ``HASH_CHUNK_CHARS`` characters."""
+    """``featurize`` of each input, from one kernel call per
+    ``HASH_CHUNK_CHARS`` characters."""
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    rows = (_row(inp) for inp in inputs)
+    rows = (((_FOCUS_NS, x.focus_text), (_SEGMENT_NS, x.segment_text)) for x in inputs)
     buckets = dim - INDICATOR_SLOTS
     for count, grams, counts, ends in _hash_chunks(rows, hash_seed, buckets, HASH_CHUNK_CHARS):
         values = counts.astype(np.float64)
@@ -520,7 +507,7 @@ class LinearModel(ActionScorer):
     def score_input(self, inp: ScoringInput) -> ActionScores:
         return score(inp, self)
 
-    def session(self, segments: Sequence[Segment], joiner: str) -> ScoringSession:
+    def session(self, segments: Sequence[Segment], joiner: str) -> "_FeatureSession":
         return _FeatureSession(self, segments, joiner)
 
 
@@ -540,7 +527,7 @@ class _NodeGrams:
     tail: str  # the last two characters of ``^content``
 
 
-class _FeatureSession(ScoringSession):
+class _FeatureSession:
     """``LinearModel``'s session: each text of the document is hashed once.
 
     The kernel hashes the texts in stream order, one chunk of
@@ -560,7 +547,7 @@ class _FeatureSession(ScoringSession):
     """
 
     def __init__(self, model: LinearModel, segments: Sequence[Segment], joiner: str):
-        super().__init__(model)
+        self.model = model
         self._segments = segments
         self._joiner = joiner
         # Row 0 is the root's content; rows 2i + 1 and 2i + 2 are segment
@@ -610,7 +597,7 @@ class _FeatureSession(ScoringSession):
         for index in pieces[node.pieces :]:
             piece = self._segments[index].text
             added, retracted = _boundary_grams(
-                node.tail, self._joiner, (piece + "$")[:2], self.scorer.hash_seed, self.scorer.dim
+                node.tail, self._joiner, (piece + "$")[:2], self.model.hash_seed, self.model.dim
             )
             columns, counts = self._take(2 * index + 1)
             node.columns, node.counts = _summed(
@@ -631,7 +618,7 @@ class _FeatureSession(ScoringSession):
         indices, values = _with_indicators(
             step_input(focus, segment), columns, _normalized(counts)
         )
-        return ActionScores.from_logits(self.scorer.logits_for(indices, values))
+        return ActionScores.from_logits(self.model.logits_for(indices, values))
 
 
 def _boundary_grams(

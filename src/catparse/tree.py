@@ -2,8 +2,9 @@
 
 A catalog tree mirrors a document's table of contents plus its body text:
 a pseudo Root at the top, Heading nodes for section titles, and Text nodes
-for body paragraphs. Text nodes are always leaves; headings may be leaves
-too (a section with no children).
+for body paragraphs. Text nodes are leaves in gold trees and constrained
+decodes (the unconstrained ablation may nest under them); headings may
+be leaves too (a section with no children).
 
 Trees are built incrementally from a queue of text segments by four
 actions applied at a moving focus node (the top of the implicit stack,
@@ -219,12 +220,12 @@ def apply_action(
     return state
 
 
-def iter_nodes(tree: CatalogTree, include_root: bool = False):
-    """Yield (node, level) in pre-order; the root's children are level 1."""
+def iter_nodes(tree: CatalogTree):
+    """Yield (node, level) in pre-order, root excluded; its children are level 1."""
     stack = [(tree.root, 0)]
     while stack:
         node, level = stack.pop()
-        if include_root or node.kind is not NodeKind.ROOT:
+        if node.kind is not NodeKind.ROOT:
             yield node, level
         for child in reversed(node.children):
             stack.append((child, level + 1))

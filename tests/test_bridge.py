@@ -1,12 +1,20 @@
+import importlib
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from catparse.bridge import BridgeIO, BridgeProtocol, BridgeScorer, ScorerBridge
+from catparse.bridge import BridgeIO, BridgeProtocol, ScorerBridge
+from catparse.corpus import ChunkConfig, GenConfig, chunk_corpus, generate_corpus
+from catparse.engine import decode
 from catparse.scoring import ScoringInput
 from catparse.tree import Action, NodeKind
+
+# perfbench/rule_scorer.py speaks the bridge protocol; perfbench/checks.py
+# holds the same rule as an in-process scorer.
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def bridge_program(body: str) -> list[str]:
@@ -74,9 +82,21 @@ def sample_input():
 
 def test_fixed_logits_argmax_is_first_action():
     with ScorerBridge(bridge_program(ECHO_FIXED)) as bridge:
-        scores = BridgeScorer(bridge).score_input(sample_input())
+        scores = bridge.score_input(sample_input())
         assert Action(scores.best) is Action.SUB_HEADING
         assert scores.logits == (1.0, 0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("constrained", [True, False])
+def test_decode_through_a_child_equals_the_rule_in_process(monkeypatch, constrained):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    in_process = importlib.import_module("checks").RuleScorer()
+    docs = generate_corpus(GenConfig(doc_count=3, seed=7))
+    streams, _ = chunk_corpus(docs, ChunkConfig(seed=7), " ")
+    with ScorerBridge([sys.executable, str(PERFBENCH / "rule_scorer.py")]) as bridge:
+        for stream in streams:
+            expected = decode(stream.segments, in_process, constrained, " ")
+            assert decode(stream.segments, bridge, constrained, " ") == expected
 
 
 def test_multiple_requests_increment_ids():

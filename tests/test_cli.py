@@ -16,7 +16,7 @@ from catparse.engine import decode, oracle_actions, replay_actions
 from catparse.jsonio import read_corpus, read_streams
 from catparse.methods import load_heads
 from catparse.scoring import LinearModel, save_model, write_container
-from catparse.tree import MAX_DEPTH, NodeKind, flatten, tree_depth, validate_tree
+from catparse.tree import MAX_DEPTH, NodeKind, flatten, iter_nodes, tree_depth, validate_tree
 
 from .dense_heads import full_head
 
@@ -129,6 +129,26 @@ def test_unconstrained_flag_and_jobs(workspace):
         "--jobs", "2",
     ) == 0
     assert single.read_bytes() == parallel.read_bytes()
+
+
+def test_unconstrained_predictions_evaluate(workspace, capsys):
+    # a head that prefers sub_text everywhere nests texts under texts
+    model = LinearModel.create(dim=128)
+    model.bias[:] = [0.0, 3.0, 1.0, 2.0]
+    save_model(model, workspace / "m.bin")
+    pred = workspace / "pred.jsonl"
+    assert run(
+        "predict", "--segments", workspace / "segs.jsonl",
+        "--scorer", f"linear:{workspace / 'm.bin'}", "--out", pred, "--unconstrained",
+    ) == 0
+    nested = [
+        node for doc in read_corpus(pred) for node, _ in iter_nodes(doc.tree)
+        if node.kind is NodeKind.TEXT and node.children
+    ]
+    assert nested
+    assert run("evaluate", "--gold", workspace / "gold.jsonl", "--pred", pred) == 0
+    assert run("stats", "--corpus", pred) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_baseline_methods_train_and_predict(workspace):
@@ -299,6 +319,7 @@ UNUSABLE_TREES = {
     "unowned-node": ([owning("a", [0], owning("", [], kind="text")), owning("b", [1])], [], 2),
     "root-owns": ([owning("a", [1])], [0], 1),
     "double-owner": ([owning("a", [0]), owning("b", [0])], [], 2),
+    "text-with-children": ([owning("a", [0], owning("b", [1]), kind="text")], [], 2),
 }
 
 
