@@ -29,6 +29,5 @@ from .scoring import (  # noqa: F401
     featurize_many,
     load_model,
     save_model,
-    score,
     train,
 )

@@ -10,15 +10,15 @@ Both predict node depth directly instead of structural relations:
 Level labels are plain ints: ``k >= 1`` is a heading at level k, ``0`` is
 text. Both formulations top out at a fixed ``max_depth``, set at training
 time and recorded in a head's class count (deeper gold trees cannot be
-reproduced), and both rebuild the tree with the same
-stack rule: a heading pops everything at its level or deeper, text
-attaches to the current top. Both learn from ``engine.gold_owners``,
-the table the transition oracle reads.
+reproduced), and both build the tree with the same stack rule, applied
+as constrained transitions through ``tree.apply_action``: a heading pops
+everything at its level or deeper, text attaches to the current top.
+Both learn from ``engine.gold_owners``, the table the transition oracle
+reads.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import engine
 # ``featurize`` is not called here. The benchmark's tracer wraps it at
@@ -26,10 +26,14 @@ from . import engine
 # them (perfbench/workload.py), so the name stays bound.
 from .scoring import LinearModel, ScoringInput, featurize, featurize_many  # noqa: F401
 from .tree import (
+    MAX_DEPTH,
+    Action,
     CatalogNode,
     CatalogTree,
     NodeKind,
     Segment,
+    TransitionState,
+    apply_action,
     join_content,
 )
 
@@ -67,15 +71,6 @@ def tag_class(level: int, inside: bool, max_depth: int) -> int:
 
 def tag_count(max_depth: int) -> int:
     return 2 * level_label_count(max_depth)
-
-
-@dataclass(frozen=True)
-class Unit:
-    """A merged run of segments with its predicted (or gold) level."""
-
-    level: int
-    content: str
-    segments: tuple[int, ...] = ()
 
 
 def _pair_input(previous: Segment, current: Segment) -> ScoringInput:
@@ -144,62 +139,47 @@ def tagging_examples(
     ]
 
 
-def rebuild_from_levels(units: Sequence[Unit]) -> CatalogTree:
-    """Build a tree from units with a heading stack.
-
-    A heading at level k pops the stack until the top sits above k (the
-    root counts as level 0), then attaches and becomes the top; text
-    attaches to the current top and never opens a scope. Skipped levels
-    are allowed, so H3 may sit directly under H1.
-    """
-    tree = CatalogTree.empty()
-    stack: list[tuple[int, CatalogNode]] = [(0, tree.root)]
-    for unit in units:
-        if unit.level == TEXT_LEVEL:
-            stack[-1][1].children.append(
-                CatalogNode(
-                    kind=NodeKind.TEXT,
-                    content=unit.content,
-                    source_segments=list(unit.segments),
-                )
-            )
-            continue
-        while stack[-1][0] >= unit.level:
-            stack.pop()
-        node = CatalogNode(
-            kind=NodeKind.HEADING,
-            content=unit.content,
-            source_segments=list(unit.segments),
-        )
-        stack[-1][1].children.append(node)
-        stack.append((unit.level, node))
-    return tree
-
-
 def _predict_classes(model: LinearModel, inputs: Sequence[ScoringInput]) -> list[int]:
     """The argmax class of each input, featurized in one batch."""
     feats = featurize_many(inputs, model.hash_seed, model.dim)
     return [int(model.logits_for(indices, values).argmax()) for indices, values in feats]
 
 
-def _merge_segments(
+def _build_tree(
     segments: Sequence[Segment],
     merge_after: Sequence[bool],
+    unit_levels: Iterable[int],
     joiner: str,
-) -> list[tuple[str, tuple[int, ...]]]:
-    """Fold segments into units; merge_after[i] merges segment i into the
-    unit carrying segment i-1."""
-    units: list[tuple[str, tuple[int, ...]]] = []
-    for i, segment in enumerate(segments):
-        if i > 0 and merge_after[i]:
-            content, indices = units[-1]
-            units[-1] = (
-                join_content(content, segment.text, joiner),
-                indices + (segment.index,),
-            )
-        else:
-            units.append((segment.text, (segment.index,)))
-    return units
+) -> CatalogTree:
+    """Build the tree of a segment stream folded into units.
+
+    ``merge_after[i]`` appends segment i to the unit of segment i-1 (a
+    CONCAT); every other segment opens the next unit, whose level comes
+    from ``unit_levels``. Opening a unit first reduces out of an open
+    text node, then, for a heading at level k, out of every open heading
+    at level k or deeper, so text never opens a scope. Skipped levels
+    are allowed: H3 may sit directly under H1.
+    """
+    state = TransitionState.initial(joiner)
+    # The rank of each node on the stack: a unit reduces out of every node
+    # ranked at or above its own. A heading ranks at its level, the root at
+    # 0, and text at MAX_DEPTH, above every level a label budget allows.
+    ranks = [0]
+    levels = iter(unit_levels)
+    for segment, merged in zip(segments, merge_after):
+        if merged:
+            apply_action(state, Action.CONCAT, segment)
+            continue
+        level = next(levels)
+        rank, action = (
+            (MAX_DEPTH, Action.SUB_TEXT) if level == TEXT_LEVEL else (level, Action.SUB_HEADING)
+        )
+        while ranks[-1] >= rank:
+            apply_action(state, Action.REDUCE)
+            ranks.pop()
+        apply_action(state, action, segment)
+        ranks.append(rank)
+    return state.tree
 
 
 def pipeline_predict(
@@ -210,18 +190,18 @@ def pipeline_predict(
 ) -> CatalogTree:
     """Merge-then-classify prediction; the level head's class count fixes
     the label budget."""
-    if not segments:
-        return CatalogTree.empty()
     max_depth = level_model.classes - 1
     pairs = [_pair_input(segments[i - 1], segments[i]) for i in range(1, len(segments))]
     merge_after = [False] + [cls == MERGE for cls in _predict_classes(concat_model, pairs)]
-    merged = _merge_segments(segments, merge_after, joiner)
-    classes = _predict_classes(level_model, [_unit_input(content) for content, _ in merged])
-    units = [
-        Unit(level=class_to_level(cls, max_depth), content=content, segments=seg_indices)
-        for cls, (content, seg_indices) in zip(classes, merged)
-    ]
-    return rebuild_from_levels(units)
+    contents: list[str] = []
+    for segment, merged in zip(segments, merge_after):
+        if merged:
+            contents[-1] = join_content(contents[-1], segment.text, joiner)
+        else:
+            contents.append(segment.text)
+    classes = _predict_classes(level_model, [_unit_input(content) for content in contents])
+    levels = [class_to_level(cls, max_depth) for cls in classes]
+    return _build_tree(segments, merge_after, levels, joiner)
 
 
 def tagging_predict(
@@ -235,8 +215,6 @@ def tagging_predict(
     opens the document) is coerced to a begin tag of its own level. The
     head's class count fixes the label budget.
     """
-    if not segments:
-        return CatalogTree.empty()
     max_depth = tag_model.classes // 2 - 1
     levels: list[int] = []
     merge_after: list[bool] = []
@@ -246,8 +224,5 @@ def tagging_predict(
         # every segment of a span carries the span's level
         merge_after.append(cls % 2 == 1 and i > 0 and levels[-1] == level)
         levels.append(level)
-    units, start = [], 0
-    for content, seg_indices in _merge_segments(segments, merge_after, joiner):
-        units.append(Unit(level=levels[start], content=content, segments=seg_indices))
-        start += len(seg_indices)
-    return rebuild_from_levels(units)
+    unit_levels = (level for level, merged in zip(levels, merge_after) if not merged)
+    return _build_tree(segments, merge_after, unit_levels, joiner)

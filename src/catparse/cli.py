@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=20)
     p.add_argument("--weight-decay", type=float, default=0.01)
     p.add_argument("--subsample", type=int, help="train on N documents only")
-    p.add_argument("--max-depth", type=int, default=baselines.DEFAULT_MAX_DEPTH)
+    p.add_argument("--max-depth", type=int, help="baseline label budget (pipeline, tagging)")
     p.add_argument("--class-weights", action="store_true")
     p.add_argument("--dump-actions", help="write gold action records here")
     p.add_argument("--seed", type=int, default=0)
@@ -219,6 +219,10 @@ def _subsample(items: list, count: int | None, seed: int) -> list:
 
 
 def cmd_train(args):
+    if args.max_depth is None:
+        args.max_depth = baselines.DEFAULT_MAX_DEPTH
+    elif args.method == "transition":
+        raise ValueError("--max-depth needs a baseline method, not transition")
     if not 1 <= args.max_depth < MAX_DEPTH:
         # a text leaf sits one level under the deepest heading label
         raise ValueError(f"--max-depth must lie in 1..{MAX_DEPTH - 1}, got {args.max_depth}")

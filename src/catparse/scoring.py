@@ -505,16 +505,14 @@ class LinearModel(ActionScorer):
         return self._table[:, self._lookup[indices]] @ values + self.bias
 
     def score_input(self, inp: ScoringInput) -> ActionScores:
-        return score(inp, self)
+        """Score the four actions for one input with a 4-class model."""
+        # ``featurize`` is looked up in this module at each call, where
+        # the benchmark's tracer wraps it.
+        indices, values = featurize(inp, self.hash_seed, self.dim)
+        return ActionScores.from_logits(self.logits_for(indices, values))
 
     def session(self, segments: Sequence[Segment], joiner: str) -> "_FeatureSession":
         return _FeatureSession(self, segments, joiner)
-
-
-def score(inp: ScoringInput, model: LinearModel) -> ActionScores:
-    """Score the four actions for one input with a 4-class model."""
-    indices, values = featurize(inp, model.hash_seed, model.dim)
-    return ActionScores.from_logits(model.logits_for(indices, values))
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 A catalog tree mirrors a document's table of contents plus its body text:
 a pseudo Root at the top, Heading nodes for section titles, and Text nodes
-for body paragraphs. Text nodes are leaves in gold trees and constrained
-decodes (the unconstrained ablation may nest under them); headings may
-be leaves too (a section with no children).
+for body paragraphs. Text nodes are leaves in gold trees and in every
+tree built under ``legal_actions``'s constrained rules; the unconstrained
+ablation may nest under them. Headings may be leaves too (a section with
+no children).
 
 Trees are built incrementally from a queue of text segments by four
 actions applied at a moving focus node (the top of the implicit stack,
@@ -257,10 +258,12 @@ def validate_tree(
 ) -> None:
     """Check every structural invariant, raising TreeInvariantError.
 
-    When ``segments`` is provided, node contents are additionally checked
-    against the joined texts of their source segments. Trees whose nodes
-    carry no source segments at all (built from bare label sequences) are
-    accepted; only the segment-related checks are skipped for them.
+    The invariants are those of every tree decoding writes, the
+    unconstrained ablation's included, so text nodes may have children;
+    ``engine.gold_owners`` holds gold trees to the leaf rule. When
+    ``segments`` is provided, node contents are additionally checked
+    against the joined texts of their source segments; a node that
+    carries no source segments skips that check.
     """
     root = tree.root
     if root.kind is not NodeKind.ROOT:
@@ -282,8 +285,6 @@ def validate_tree(
                 raise TreeInvariantError(f"{path}: only one root allowed")
             if not node.content:
                 raise TreeInvariantError(f"{path}: non-root node with empty content")
-            if node.kind is NodeKind.TEXT and node.children:
-                raise TreeInvariantError(f"{path}: text node with children")
             ordered_segments.extend(node.source_segments)
             if segments is not None and node.source_segments:
                 joined = ""

@@ -1,26 +1,88 @@
 """Reference baselines: the per-input ``pipeline_predict`` and
 ``tagging_predict`` that ``baselines`` replaced with one ``featurize_many``
-batch per head and document.
+batch per head and document, and the unit-stack rebuild that
+``baselines`` replaced with transitions applied through
+``tree.apply_action``.
 
-Kept as the definition the batched versions must reproduce exactly (the
-same trees); ``test_baselines`` compares the two.
+Kept as the definitions the package must reproduce exactly (the same
+trees); ``test_baselines`` compares the two.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 from catparse.baselines import (
     MERGE,
-    Unit,
-    _merge_segments,
+    TEXT_LEVEL,
     _pair_input,
     _tag_input,
     _unit_input,
     class_to_level,
-    rebuild_from_levels,
 )
 from catparse.scoring import LinearModel, ScoringInput, featurize
-from catparse.tree import CatalogTree, Segment
+from catparse.tree import CatalogNode, CatalogTree, NodeKind, Segment, join_content
+
+
+@dataclass(frozen=True)
+class Unit:
+    """A merged run of segments with its predicted (or gold) level."""
+
+    level: int
+    content: str
+    segments: tuple[int, ...] = ()
+
+
+def rebuild_from_levels(units: Sequence[Unit]) -> CatalogTree:
+    """Build a tree from units with a heading stack.
+
+    A heading at level k pops the stack until the top sits above k (the
+    root counts as level 0), then attaches and becomes the top; text
+    attaches to the current top and never opens a scope. Skipped levels
+    are allowed, so H3 may sit directly under H1.
+    """
+    tree = CatalogTree.empty()
+    stack: list[tuple[int, CatalogNode]] = [(0, tree.root)]
+    for unit in units:
+        if unit.level == TEXT_LEVEL:
+            stack[-1][1].children.append(
+                CatalogNode(
+                    kind=NodeKind.TEXT,
+                    content=unit.content,
+                    source_segments=list(unit.segments),
+                )
+            )
+            continue
+        while stack[-1][0] >= unit.level:
+            stack.pop()
+        node = CatalogNode(
+            kind=NodeKind.HEADING,
+            content=unit.content,
+            source_segments=list(unit.segments),
+        )
+        stack[-1][1].children.append(node)
+        stack.append((unit.level, node))
+    return tree
+
+
+def _merge_segments(
+    segments: Sequence[Segment],
+    merge_after: Sequence[bool],
+    joiner: str,
+) -> list[tuple[str, tuple[int, ...]]]:
+    """Fold segments into units; merge_after[i] merges segment i into the
+    unit carrying segment i-1."""
+    units: list[tuple[str, tuple[int, ...]]] = []
+    for i, segment in enumerate(segments):
+        if i > 0 and merge_after[i]:
+            content, indices = units[-1]
+            units[-1] = (
+                join_content(content, segment.text, joiner),
+                indices + (segment.index,),
+            )
+        else:
+            units.append((segment.text, (segment.index,)))
+    return units
 
 
 def _predict_class(model: LinearModel, inp: ScoringInput) -> int:

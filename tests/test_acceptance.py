@@ -211,7 +211,7 @@ def test_criterion_6_end_to_end_learning():
     correct = total = 0
     for g, s in dev_p:
         for inp, action in engine.oracle_examples(g.tree, s.segments):
-            correct += scoring.score(inp, model).best == int(action)
+            correct += model.score_input(inp).best == int(action)
             total += 1
     accuracy = correct / total
     assert accuracy >= 0.95

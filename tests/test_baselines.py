@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from catparse.baselines import (
     DEFAULT_MAX_DEPTH,
     MERGE,
     NEW_UNIT,
     TEXT_LEVEL,
-    Unit,
+    _build_tree,
     class_to_level,
     level_label_count,
     level_to_class,
     pipeline_examples,
     pipeline_predict,
-    rebuild_from_levels,
     tag_class,
     tag_count,
     tagging_examples,
@@ -22,9 +23,15 @@ from catparse.corpus import ChunkConfig, GenConfig, chunk_document, generate_syn
 from catparse.engine import oracle_actions, replay_actions
 from catparse import scoring
 from catparse.scoring import LinearModel
-from catparse.tree import NodeKind, Segment, flatten, iter_nodes, validate_tree
+from catparse.tree import MAX_DEPTH, NodeKind, Segment, flatten, iter_nodes, validate_tree
 
-from .baselines_reference import reference_pipeline_predict, reference_tagging_predict
+from .baselines_reference import (
+    Unit,
+    _merge_segments,
+    rebuild_from_levels,
+    reference_pipeline_predict,
+    reference_tagging_predict,
+)
 from .conftest import WALKTHROUGH_SEGMENTS, heading, text, tree_of, walkthrough_tree
 from .dense_heads import full_head
 
@@ -70,36 +77,69 @@ def test_label_encoding_round_trips():
     assert level_to_class(9, 8) == level_to_class(8, 8)  # clamp
 
 
+def build(units, joiner=""):
+    """``_build_tree`` of ``(level, piece count)`` units, one segment per
+    piece, each piece's text naming its segment."""
+    segments, merge_after = [], []
+    for _, pieces in units:
+        for piece in range(pieces):
+            segments.append(Segment(f"s{len(segments)}", len(segments)))
+            merge_after.append(piece > 0)
+    levels = [level for level, _ in units]
+    return _build_tree(segments, merge_after, levels, joiner), segments, merge_after, levels
+
+
 class TestRebuild:
     def test_heading_pops_to_shallower(self):
-        tree = rebuild_from_levels(
-            [Unit(1, "a"), Unit(2, "b"), Unit(TEXT_LEVEL, "c"), Unit(1, "d")]
-        )
+        tree = build([(1, 1), (2, 1), (TEXT_LEVEL, 1), (1, 1)])[0]
         assert flatten(tree) == [
-            (1, NodeKind.HEADING, "a"),
-            (2, NodeKind.HEADING, "b"),
-            (3, NodeKind.TEXT, "c"),
-            (1, NodeKind.HEADING, "d"),
+            (1, NodeKind.HEADING, "s0"),
+            (2, NodeKind.HEADING, "s1"),
+            (3, NodeKind.TEXT, "s2"),
+            (1, NodeKind.HEADING, "s3"),
         ]
 
     def test_empty_units(self):
-        assert flatten(rebuild_from_levels([])) == []
+        assert flatten(build([])[0]) == []
 
     def test_single_text(self):
-        tree = rebuild_from_levels([Unit(TEXT_LEVEL, "x")])
-        assert flatten(tree) == [(1, NodeKind.TEXT, "x")]
+        assert flatten(build([(TEXT_LEVEL, 1)])[0]) == [(1, NodeKind.TEXT, "s0")]
 
     def test_skipped_levels_allowed(self):
-        tree = rebuild_from_levels([Unit(1, "a"), Unit(3, "deep"), Unit(TEXT_LEVEL, "t")])
+        tree = build([(1, 1), (3, 1), (TEXT_LEVEL, 1)])[0]
         assert flatten(tree) == [
-            (1, NodeKind.HEADING, "a"),
-            (2, NodeKind.HEADING, "deep"),
-            (3, NodeKind.TEXT, "t"),
+            (1, NodeKind.HEADING, "s0"),
+            (2, NodeKind.HEADING, "s1"),
+            (3, NodeKind.TEXT, "s2"),
         ]
 
     def test_unit_objects_with_segments(self):
-        tree = rebuild_from_levels([Unit(1, "a", (0,)), Unit(TEXT_LEVEL, "b", (1,))])
-        validate_tree(tree, [Segment("a", 0), Segment("b", 1)])
+        tree, segments, _, _ = build([(1, 1), (TEXT_LEVEL, 2)], " ")
+        assert [node.source_segments for node, _ in iter_nodes(tree)] == [[0], [1, 2]]
+        assert flatten(tree)[-1] == (2, NodeKind.TEXT, "s1 s2")
+        validate_tree(tree, segments, " ")
+
+    @given(
+        st.lists(st.tuples(st.integers(0, MAX_DEPTH - 1), st.integers(1, 3)), max_size=40),
+        st.sampled_from(["", " "]),
+    )
+    @example([(TEXT_LEVEL, 2), (2, 1), (TEXT_LEVEL, 1), (1, 1)], " ")
+    @example([(1, 1), (4, 2), (9, 1), (3, 1), (TEXT_LEVEL, 1), (2, 1)], "")
+    @example([(level, 1) for level in range(1, MAX_DEPTH)] + [(TEXT_LEVEL, 2)], " ")
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_unit_stack_reference(self, units, joiner):
+        tree, segments, merge_after, levels = build(units, joiner)
+        reference = rebuild_from_levels(
+            [
+                Unit(level, content, indices)
+                for level, (content, indices) in zip(
+                    levels, _merge_segments(segments, merge_after, joiner)
+                )
+            ]
+        )
+        assert tree == reference
+        validate_tree(tree, segments, joiner)
+        assert replay_actions(oracle_actions(tree), segments, joiner) == tree
 
 
 class TestTagging:

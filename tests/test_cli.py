@@ -146,6 +146,8 @@ def test_unconstrained_predictions_evaluate(workspace, capsys):
         if node.kind is NodeKind.TEXT and node.children
     ]
     assert nested
+    for stream, doc in zip(read_streams(workspace / "segs.jsonl"), read_corpus(pred)):
+        validate_tree(doc.tree, stream.segments)
     assert run("evaluate", "--gold", workspace / "gold.jsonl", "--pred", pred) == 0
     assert run("stats", "--corpus", pred) == 0
     assert "error" not in capsys.readouterr().err
@@ -369,9 +371,13 @@ def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, caplog, shap
         ("predict", ["--method", "tagging", "--unconstrained"], "--unconstrained"),
         # checked before any --jobs worker starts
         ("predict", ["--method", "tagging", "--jobs", "2", "--scorer", "bridge:cat"], "linear:"),
+        ("train", ["--max-depth", "8"], "--max-depth needs a baseline method"),
+        ("train", ["--method", "pipeline", "--max-depth", "0"], "must lie in"),
+        ("train", ["--method", "tagging", "--max-depth", str(MAX_DEPTH)], "must lie in"),
     ],
     ids=["lr-nan", "lr-inf", "decay-nan", "subsample-0", "subsample-neg", "predict-jobs",
-         "pipeline-unconstrained", "tagging-unconstrained", "tagging-bridge"],
+         "pipeline-unconstrained", "tagging-unconstrained", "tagging-bridge",
+         "transition-max-depth", "pipeline-max-depth-0", "tagging-max-depth-past-bound"],
 )
 def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message):
     gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"

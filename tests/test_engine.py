@@ -92,9 +92,13 @@ class TestDecode:
         )
         segments = [Segment("a", 0), Segment("b", 1), Segment("c", 2)]
         tree, trace = decode(segments, scorer, constrained=False)
-        # text nodes nested under text nodes: invalid on purpose
-        with pytest.raises(Exception):
-            validate_tree(tree)
+        # text nodes nested under text nodes: a valid tree, but no gold tree
+        assert flatten(tree) == [
+            (1, NodeKind.TEXT, "a"), (2, NodeKind.TEXT, "b"), (3, NodeKind.TEXT, "c")
+        ]
+        validate_tree(tree, segments)
+        with pytest.raises(OracleError, match="has children"):
+            gold_owners(tree)
         assert not any(s.forced for s in trace.steps)
 
     def test_unconstrained_still_repairs_impossible_actions(self):

@@ -25,7 +25,6 @@ from catparse.scoring import (
     load_model,
     loss_and_grad,
     save_model,
-    score,
     softmax,
     train,
 )
@@ -201,8 +200,7 @@ class TestScore:
         model.weights[:] = rng.normal(size=model.weights.shape)
         example = inp(NodeKind.HEADING, "2.1 概述", "2.1.1 细节")
         expected = model.logits_for(*featurize(example, 3, SMALL_DIM))
-        assert score(example, model).logits == tuple(expected)
-        assert model.score_input(example) == score(example, model)
+        assert model.score_input(example).logits == tuple(expected)
 
     def test_dimension_must_exceed_indicator_block(self):
         with pytest.raises(ValueError, match="indicator block"):
@@ -211,14 +209,14 @@ class TestScore:
 
     def test_zero_model_is_uniform(self):
         model = LinearModel.create(dim=SMALL_DIM)
-        result = score(inp(), model)
+        result = model.score_input(inp())
         assert result.probabilities == pytest.approx((0.25, 0.25, 0.25, 0.25))
 
     def test_probabilities_sum_to_one(self):
         rng = np.random.default_rng(0)
         model = full_head(dim=SMALL_DIM)
         model.weights[:] = rng.normal(size=model.weights.shape) * 0.1
-        result = score(inp(), model)
+        result = model.score_input(inp())
         assert abs(sum(result.probabilities) - 1.0) < 1e-9
 
     @given(st.lists(st.floats(-30, 30), min_size=4, max_size=4), st.floats(-50, 50))
@@ -268,7 +266,7 @@ def test_trained_model_opens_numbered_heading_at_root():
     for stream, gdoc in zip(streams, gold_docs):
         examples.extend(oracle_examples(gdoc.tree, stream.segments))
     model = train(examples, TrainConfig(epochs=3, seed=19))
-    result = score(inp(NodeKind.ROOT, "", "1. Introduction"), model)
+    result = model.score_input(inp(NodeKind.ROOT, "", "1. Introduction"))
     assert Action(result.best) is Action.SUB_HEADING
 
 
@@ -323,7 +321,7 @@ class TestTrain:
         examples = separable_examples()
         model = train(examples, TrainConfig(epochs=10, seed=0), dim=SMALL_DIM)
         for example, label in examples:
-            assert score(example, model).best == int(label)
+            assert model.score_input(example).best == int(label)
 
     def test_loss_decreases(self):
         examples = separable_examples() * 4

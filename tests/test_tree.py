@@ -1,5 +1,6 @@
 import pytest
 
+from catparse.engine import OracleError, gold_owners
 from catparse.tree import (
     MAX_DEPTH,
     Action,
@@ -214,10 +215,13 @@ class TestValidate:
         validate_tree(walkthrough_tree(), segments, joiner=" ")
 
     def test_text_with_children(self):
-        bad = tree_of(text("t", [0]))
-        bad.root.children[0].children.append(text("u", [1]))
-        with pytest.raises(TreeInvariantError):
-            validate_tree(bad)
+        # the unconstrained ablation writes such trees; only gold trees
+        # are held to the leaf rule
+        nested = tree_of(text("t", [0]))
+        nested.root.children[0].children.append(text("u", [1]))
+        validate_tree(nested, [Segment("t", 0), Segment("u", 1)])
+        with pytest.raises(OracleError, match="has children"):
+            gold_owners(nested)
 
     def test_root_content_must_be_empty(self):
         bad = CatalogTree.empty()
