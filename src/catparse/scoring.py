@@ -25,14 +25,18 @@ document. A scorer that scores each step's input on its own, such as the
 bridge, is its own session. A ``LinearModel``'s session hashes each text
 once per document: every segment's ``^text$`` under both namespaces as
 the decode reaches it, one kernel call per ``DECODE_CHUNK_CHARS``
-characters, letting go of what no later step reads. Each node keeps the
-``s:`` counts of its content; a ``concat`` of piece B onto content A
-adds B's ``s:`` counts, retracts the three grams that hold A's closing
+characters, letting go of what no later step reads. The same pass takes
+each text's partial logits, its counts times their weight columns
+summed, and its integer sum of squared counts. Each node keeps those of
+its content with its ``s:`` counts; a ``concat`` of piece B onto
+content A adds B's, retracts the three grams that hold A's closing
 ``$`` and the three that hold B's opening ``^``, and adds the few grams
-that cross the joiner. Counts add, so a step's focus counts plus its
-segment's ``q:`` counts are the counts ``featurize`` hashes from the
-whole texts, and they are normalized and scored the same way: features,
-logits and trees are byte-identical.
+that cross the joiner. Counts add, so a step's squared norm is the
+integer ``featurize`` takes the root of, and its logits are the
+focus's and the segment's partials over that norm plus the indicators
+and the bias, in work that does not grow with the focus. They are
+``logits_for`` of ``featurize``'s features summed in another order, so
+they may differ from those in the last bits.
 """
 from __future__ import annotations
 
@@ -42,7 +46,7 @@ import re
 import struct
 import zlib
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -344,53 +348,65 @@ def _hash_chunks(
         yield len(chunk), *_hash_ngrams(chunk, seed, buckets)
 
 
-def _with_indicators(
-    inp: ScoringInput, grams: np.ndarray, values: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``inp``'s normalized n-gram features with the indicator slots it
-    fires (layout at the top) in front, each with value 1."""
-    counts: dict[int, float] = {}
-    counts[_KIND_SLOT[inp.focus_kind]] = 1.0
-    focus, segment = inp.focus_text, inp.segment_text
+def _indicator_slots(
+    kind: NodeKind,
+    focus: str,
+    focus_numbering: tuple[list[int], int],
+    segment: str,
+    segment_numbering: tuple[list[int], int],
+) -> list[int]:
+    """The indicator slots (layout at the top) a step fires, sorted, given
+    the ``_numbering_hits`` of its focus and segment texts."""
+    slots = {_KIND_SLOT[kind]}
     if focus and focus[-1] in TERMINAL_PUNCTUATION:
-        counts[_SENTENCE_END_SLOT] = 1.0
-    counts[_FOCUS_LEN_BASE + _length_bucket(len(focus))] = 1.0
-    counts[_SEGMENT_LEN_BASE + _length_bucket(len(segment))] = 1.0
+        slots.add(_SENTENCE_END_SLOT)
+    slots.add(_FOCUS_LEN_BASE + _length_bucket(len(focus)))
+    slots.add(_SEGMENT_LEN_BASE + _length_bucket(len(segment)))
     if len(segment) <= 20:
-        counts[_SHORT_SEGMENT_SLOT] = 1.0
+        slots.add(_SHORT_SEGMENT_SLOT)
 
-    seg_hits, seg_depth = _numbering_hits(segment)
-    for i in seg_hits:
-        counts[_SEGMENT_PATTERN_BASE + i] = 1.0
+    seg_hits, seg_depth = segment_numbering
+    slots.update(_SEGMENT_PATTERN_BASE + i for i in seg_hits)
     if seg_depth:
-        counts[_SEGMENT_DEPTH_BASE + min(seg_depth, 4) - 1] = 1.0
+        slots.add(_SEGMENT_DEPTH_BASE + min(seg_depth, 4) - 1)
     else:
-        counts[_SEGMENT_UNNUMBERED_SLOT] = 1.0
+        slots.add(_SEGMENT_UNNUMBERED_SLOT)
     if focus:
-        focus_hits, focus_depth = _numbering_hits(focus)
-        for i in focus_hits:
-            counts[_FOCUS_PATTERN_BASE + i] = 1.0
+        focus_hits, focus_depth = focus_numbering
+        slots.update(_FOCUS_PATTERN_BASE + i for i in focus_hits)
         if focus_depth:
-            counts[_FOCUS_DEPTH_BASE + min(focus_depth, 4) - 1] = 1.0
+            slots.add(_FOCUS_DEPTH_BASE + min(focus_depth, 4) - 1)
         else:
-            counts[_FOCUS_UNNUMBERED_SLOT] = 1.0
+            slots.add(_FOCUS_UNNUMBERED_SLOT)
         # How the two numbering depths relate decides most attachments,
         # so spell the comparison out instead of leaving it additive.
         if focus_depth and seg_depth:
             if seg_depth == focus_depth + 1:
-                counts[_CHILD_DEPTH_SLOT] = 1.0
+                slots.add(_CHILD_DEPTH_SLOT)
             elif seg_depth <= focus_depth:
-                counts[_SIBLING_OR_SHALLOWER_SLOT] = 1.0
+                slots.add(_SIBLING_OR_SHALLOWER_SLOT)
             else:
-                counts[_SKIPPED_DEPTH_SLOT] = 1.0
+                slots.add(_SKIPPED_DEPTH_SLOT)
         elif focus_depth:
-            counts[_ONLY_FOCUS_NUMBERED_SLOT] = 1.0
+            slots.add(_ONLY_FOCUS_NUMBERED_SLOT)
         elif seg_depth:
-            counts[_ONLY_SEGMENT_NUMBERED_SLOT] = 1.0
+            slots.add(_ONLY_SEGMENT_NUMBERED_SLOT)
         else:
-            counts[_NEITHER_NUMBERED_SLOT] = 1.0
-    indicators = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
-    return np.concatenate([indicators, grams]), np.concatenate([np.ones(len(counts)), values])
+            slots.add(_NEITHER_NUMBERED_SLOT)
+    return sorted(slots)
+
+
+def _with_indicators(
+    inp: ScoringInput, grams: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``inp``'s normalized n-gram features with the indicator slots it
+    fires in front, each with value 1."""
+    focus, segment = inp.focus_text, inp.segment_text
+    slots = _indicator_slots(
+        inp.focus_kind, focus, _numbering_hits(focus), segment, _numbering_hits(segment)
+    )
+    indicators = np.array(slots, dtype=np.int64)
+    return np.concatenate([indicators, grams]), np.concatenate([np.ones(len(slots)), values])
 
 
 def featurize(
@@ -407,14 +423,6 @@ def featurize(
     Deterministic for a fixed hash seed.
     """
     return featurize_many([inp], hash_seed, dim)[0]
-
-
-def _normalized(counts: np.ndarray) -> np.ndarray:
-    """One row's gram counts divided by their L2 norm."""
-    values = counts.astype(np.float64)
-    # The counts are integers, so their sum of squares is exact in any order.
-    values /= np.sqrt(np.sum(values**2))
-    return values
 
 
 def featurize_many(
@@ -517,26 +525,53 @@ class LinearModel(ActionScorer):
 
 @dataclass
 class _NodeGrams:
-    """The ``s:`` gram columns of a node's content, sorted, with their counts."""
+    """What a step needs of a node's content: the partial logits and the
+    sum of squared counts of its ``s:`` grams, and the counts themselves.
 
-    columns: np.ndarray
-    counts: np.ndarray
+    A frozen node holds its counts as sorted ``columns`` with their
+    ``counts``. While it grows its counts live in its session's count
+    array instead, ``columns`` and ``counts`` are None and ``touched``
+    holds every column that has left 0 since it thawed.
+    """
+
+    partials: np.ndarray  # (classes,) the counts times their weight columns, summed
+    square: int  # the sum of squared counts, exact
+    columns: np.ndarray | None
+    counts: np.ndarray | None
     pieces: int  # how many of the node's segments the counts cover
     tail: str  # the last two characters of ``^content``
+    touched: list[np.ndarray] = field(default_factory=list)
+    numbering: tuple[list[int], int] | None = None  # the content's numbering hits
 
 
 class _FeatureSession:
-    """``LinearModel``'s session: each text of the document is hashed once.
+    """``LinearModel``'s session: each text of the document is hashed once,
+    and a step costs what its segment costs, however long its focus.
 
     The kernel hashes the texts in stream order, one chunk of
     ``DECODE_CHUNK_CHARS`` characters at a time as the decode reaches
     them: the root's content ``^$`` under ``s:``, then each segment's
-    ``^text$`` under ``s:`` and under ``q:``. A node keeps its content's
-    ``s:`` counts, keyed by the index of the segment that opened it; a
-    ``concat`` updates them in place of hashing the grown content again.
-    A step adds the segment's ``q:`` counts to the focus counts and then
-    does what ``featurize`` does with the same sorted counts, so the
-    features are ``featurize``'s, array for array.
+    ``^text$`` under ``s:`` and under ``q:``. The same pass takes each
+    row's partial logits and its sum of squared counts. A node keeps
+    those of its content, with its ``s:`` counts, keyed by the index of
+    the segment that opened it. A ``concat`` adds the piece's partials
+    and the weight columns of the grams it adds at the joint, takes away
+    those of the grams it retracts, and updates the sum of squares from
+    the columns it changes.
+
+    A step's squared norm is the node's sum of squares plus the
+    segment's ``q:`` one plus twice the products of their counts in the
+    columns both hold: the integer ``featurize`` takes the root of. Its
+    logits are the summed partials over the norm, plus the weights of
+    the indicator slots it fires, plus the bias. They are ``logits_for``
+    of ``featurize``'s features summed in another order, so they may
+    differ from those in the last bits.
+
+    A node starts frozen, its counts as sorted columns. A ``concat`` onto
+    it thaws them into one ``dim``-long count array, freezing the node
+    held there, so a ``concat`` onto the node that grows costs what its
+    piece does. The numbering hits of a node's content are kept until
+    its next ``concat``, a segment's while it is scored.
 
     Segment indices are stream positions (``decode`` checks). Nothing is
     held past its last use: a segment's ``s:`` counts go once a node
@@ -556,73 +591,163 @@ class _FeatureSession:
         )
         buckets = model.dim - INDICATOR_SLOTS
         self._chunks = _hash_chunks(rows, model.hash_seed, buckets, DECODE_CHUNK_CHARS)
-        self._hashed: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._hashed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
         self._rows = 0
         # The nodes from the root to the focus, the root under None.
         self._path: dict[int | None, _NodeGrams] = {}
-        self._incoming: tuple[int, np.ndarray, np.ndarray] | None = None
+        # The counts of the one node that grows, by column.
+        self._counts = np.zeros(model.dim, dtype=np.int32)
+        self._thawed: _NodeGrams | None = None
+        self._incoming: tuple | None = None
+        # The indicator block's weights, one row per slot.
+        self._block = model._table[:, :INDICATOR_SLOTS].T.copy()
 
-    def _take(self, row: int) -> tuple[np.ndarray, np.ndarray]:
-        """The columns and counts of one row, hashing on to it if need be;
-        the session does not keep them."""
+    def _take(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """The columns, counts, partial logits and sum of squared counts of
+        one row, hashing on to it if need be; the session does not keep them."""
         while row >= self._rows:
             _, columns, counts, ends = next(self._chunks)
+            partials, squares = _partials(self.model, columns, counts, ends)
             # int32 holds every column below MAX_DIM and every count, in
             # half the memory of the kernel's int64.
             columns, counts = columns.astype(np.int32), counts.astype(np.int32)
-            for begin, end in zip([0] + ends, ends):
-                self._hashed[self._rows] = columns[begin:end], counts[begin:end]
+            for begin, end, partial, square in zip([0] + ends, ends, partials, squares.tolist()):
+                self._hashed[self._rows] = columns[begin:end], counts[begin:end], partial, square
                 self._rows += 1
         return self._hashed.pop(row)
 
     def _node(self, focus: CatalogNode) -> _NodeGrams:
-        """The focus's counts, brought up to its current content."""
+        """The focus's grams, brought up to its current content."""
         pieces = focus.source_segments
         key = pieces[0] if pieces else None
         if key in self._path:
             # The nodes above the focus were reduced; no step returns to them.
             while next(reversed(self._path)) != key:
-                self._path.popitem()
+                if self._path.popitem()[1] is self._thawed:
+                    self._counts[np.concatenate(self._thawed.touched)] = 0
+                    self._thawed = None
             node = self._path[key]
         else:
             # The root at the first step, or the node the previous step opened.
             opened = 0 if key is None else 1
             content = self._segments[key].text if opened else ""
-            columns, counts = self._take(2 * key + 1 if opened else 0)
+            columns, counts, partials, square = self._take(2 * key + 1 if opened else 0)
             # Copies, so a node holds no view of a whole chunk's arrays.
-            node = _NodeGrams(columns.copy(), counts.copy(), opened, ("^" + content)[-2:])
+            node = _NodeGrams(
+                partials.copy(), square, columns.copy(), counts.copy(), opened,
+                ("^" + content)[-2:],
+            )
             self._path[key] = node
         for index in pieces[node.pieces :]:
-            piece = self._segments[index].text
-            added, retracted = _boundary_grams(
-                node.tail, self._joiner, (piece + "$")[:2], self.model.hash_seed, self.model.dim
-            )
-            columns, counts = self._take(2 * index + 1)
-            node.columns, node.counts = _summed(
-                [node.columns, columns, added, retracted],
-                [node.counts, counts, np.ones_like(added), -np.ones_like(retracted)],
-            )
-            node.tail = (node.tail + self._joiner + piece)[-2:]
-            node.pieces += 1
+            self._concat(node, index)
         return node
+
+    def _thaw(self, node: _NodeGrams) -> None:
+        """Move ``node``'s counts into the count array, freezing the node
+        that held it."""
+        held = self._thawed
+        if held is not None:
+            columns = np.unique(np.concatenate(held.touched))
+            counts = self._counts[columns]
+            self._counts[columns] = 0
+            kept = counts != 0
+            held.columns, held.counts, held.touched = columns[kept], counts[kept], []
+        self._counts[node.columns] = node.counts
+        node.touched = [node.columns]
+        node.columns = node.counts = None
+        self._thawed = node
+
+    def _concat(self, node: _NodeGrams, index: int) -> None:
+        """Join segment ``index`` onto ``node``'s content."""
+        if node is not self._thawed:
+            self._thaw(node)
+        piece = self._segments[index].text
+        change = _boundary_grams(
+            node.tail, self._joiner, (piece + "$")[:2], self.model.hash_seed, self.model.dim
+        )
+        edge = np.fromiter(change, np.int64, len(change))
+        deltas = np.fromiter(change.values(), np.int64, len(change))
+        columns, counts, partials, _ = self._take(2 * index + 1)
+        node.partials = node.partials + partials + _gather(self.model, edge) @ deltas
+        node.square += _merge(self._counts, columns, counts, node.touched)
+        node.square += _merge(self._counts, edge, deltas, node.touched)
+        node.tail = (node.tail + self._joiner + piece)[-2:]
+        node.pieces += 1
+        node.numbering = None
 
     def score(self, focus: CatalogNode, segment: Segment) -> ActionScores:
         node = self._node(focus)
         if self._incoming is None or self._incoming[0] != segment.index:
             # Steps score one incoming segment until an action consumes it.
-            self._incoming = (segment.index, *self._take(2 * segment.index + 2))
-        _, columns, counts = self._incoming
-        columns, counts = _summed([node.columns, columns], [node.counts, counts])
-        indices, values = _with_indicators(
-            step_input(focus, segment), columns, _normalized(counts)
+            columns, counts, partials, square = self._take(2 * segment.index + 2)
+            # int64 counts, so the cross term below cannot overflow.
+            counts = counts.astype(np.int64)
+            numbering = _numbering_hits(segment.text)
+            self._incoming = (segment.index, columns, counts, partials, square, numbering)
+        _, columns, counts, partials, square, numbering = self._incoming
+        # The node's counts in the segment's columns: s: and q: grams
+        # share a column only where their hashes collide.
+        if node.columns is None:
+            held = self._counts[columns]
+        else:
+            at = np.minimum(np.searchsorted(node.columns, columns), len(node.columns) - 1)
+            held = np.where(node.columns[at] == columns, node.counts[at], 0)
+        cross = int(held @ counts)
+        if node.numbering is None:
+            node.numbering = _numbering_hits(focus.content)
+        slots = _indicator_slots(
+            focus.kind, focus.content, node.numbering, segment.text, numbering
         )
-        return ActionScores.from_logits(self.model.logits_for(indices, values))
+        square = node.square + square + 2 * cross
+        return ActionScores.from_logits(
+            _step_logits(node.partials + partials, square, self._block[slots], self.model.bias)
+        )
 
 
-def _boundary_grams(
-    tail: str, joiner: str, head: str, seed: int, dim: int
+def _partials(
+    model: LinearModel, columns: np.ndarray, counts: np.ndarray, ends: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``s:`` columns that joining content A and piece B adds and retracts.
+    """Each row's partial logits, its counts times their weight columns
+    summed, with shape (rows, classes), and each row's sum of squared
+    counts, for rows of ``columns`` and ``counts`` that end at ``ends``
+    (none empty)."""
+    starts = [0] + ends[:-1]
+    weighted = _gather(model, columns)
+    weighted *= counts
+    squares = np.add.reduceat(counts * counts, starts)
+    return np.add.reduceat(weighted, starts, axis=1).T, squares
+
+
+def _gather(model: LinearModel, columns: np.ndarray) -> np.ndarray:
+    """The weight columns of features ``columns``, shape (classes, len(columns))."""
+    # np.take gathers several times faster than fancy indexing does.
+    return np.take(model._table, np.take(model._lookup, columns), axis=1)
+
+
+def _merge(
+    counts: np.ndarray, columns: np.ndarray, deltas: np.ndarray, touched: list[np.ndarray]
+) -> int:
+    """Add ``deltas`` to ``counts`` at ``columns``, which are distinct;
+    lists in ``touched`` the columns that were 0 and returns how much the
+    sum of squared counts changed, Σ(2·old·d + d²)."""
+    old = counts[columns]
+    touched.append(columns[old == 0])
+    old = old.astype(np.int64)
+    counts[columns] = old + deltas
+    return int(((2 * old + deltas) * deltas).sum())
+
+
+def _step_logits(
+    partials: np.ndarray, square: int, indicators: np.ndarray, bias: np.ndarray
+) -> np.ndarray:
+    """A step's logits from its summed partials, the integer square of
+    its norm, and the weights of the indicator slots it fires, one row
+    per slot."""
+    return partials / math.sqrt(square) + indicators.sum(axis=0) + bias
+
+
+def _boundary_grams(tail: str, joiner: str, head: str, seed: int, dim: int) -> dict[int, int]:
+    """How joining content A and piece B changes the ``s:`` counts, by column.
 
     ``tail`` holds the last two characters of ``^A`` and ``head`` the
     first two of ``B$``. The grams of ``^A + joiner + B$`` are those of
@@ -633,42 +758,21 @@ def _boundary_grams(
     """
     base = zlib.crc32(_FOCUS_NS, seed & 0xFFFFFFFF)
     buckets = dim - INDICATOR_SLOTS
-
-    def over(text: str, lo: int, hi: int) -> np.ndarray:
-        # The grams of ``text`` that start before ``hi`` and end after
-        # ``lo``: those that overlap text[lo:hi], or span position lo if
-        # that is empty.
-        return np.array(
-            [
-                INDICATOR_SLOTS + zlib.crc32(text[i : i + n].encode("utf-8"), base) % buckets
-                for n in (1, 2, 3)
-                for i in range(max(0, lo - n + 1), min(hi, len(text) - n + 1))
-            ],
-            dtype=np.int64,
-        )
-
-    added = over(tail + joiner + head, len(tail), len(tail) + len(joiner))
-    retracted = np.concatenate([over(tail + "$", len(tail), len(tail) + 1), over("^" + head, 0, 1)])
-    return added, retracted
-
-
-def _summed(
-    columns: Sequence[np.ndarray], counts: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each column once, sorted, with its counts summed; columns whose
-    counts sum to 0 are dropped."""
-    columns, counts = np.concatenate(columns), np.concatenate(counts)
-    # The node's and the segment's columns are sorted runs, which the
-    # stable sort merges in linear time.
-    order = columns.argsort(kind="stable")
-    columns, counts = columns[order], counts[order]
-    first = np.empty(len(columns), dtype=bool)
-    first[0] = True
-    np.not_equal(columns[1:], columns[:-1], out=first[1:])
-    starts = first.nonzero()[0]
-    columns, counts = columns[starts], np.add.reduceat(counts, starts)
-    kept = counts != 0
-    return columns[kept], counts[kept]
+    change: dict[int, int] = {}
+    # The grams of each text that start before ``hi`` and end after
+    # ``lo``: those that overlap text[lo:hi], or span position lo if that
+    # is empty.
+    for text, lo, hi, sign in (
+        (tail + joiner + head, len(tail), len(tail) + len(joiner), 1),
+        (tail + "$", len(tail), len(tail) + 1, -1),
+        ("^" + head, 0, 1, -1),
+    ):
+        for n in (1, 2, 3):
+            for i in range(max(0, lo - n + 1), min(hi, len(text) - n + 1)):
+                gram = text[i : i + n].encode("utf-8")
+                column = INDICATOR_SLOTS + zlib.crc32(gram, base) % buckets
+                change[column] = change.get(column, 0) + sign
+    return change
 
 
 @dataclass
@@ -880,6 +984,10 @@ def read_container(handle, magic: bytes = MODEL_MAGIC, name: str = "model") -> L
         np.frombuffer(handle.read(size * 8), dtype=dtype)
         for size, dtype in zip(sizes, ("<u8", "<f8", "<f8"))
     )
+    # A decode session adds and takes away weight columns, which an
+    # infinite weight would turn into NaN.
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise ValueError(f"{name}: the weights or the bias are not all finite")
     try:
         return LinearModel(
             columns, weights.reshape(classes, count), bias, hash_seed=int(seed), dim=int(dim)

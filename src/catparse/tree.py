@@ -287,13 +287,14 @@ def validate_tree(
                 raise TreeInvariantError(f"{path}: non-root node with empty content")
             ordered_segments.extend(node.source_segments)
             if segments is not None and node.source_segments:
-                joined = ""
                 for index in node.source_segments:
                     if index < 0 or index >= len(segments):
                         raise TreeInvariantError(
                             f"{path}: segment index {index} out of range"
                         )
-                    joined = join_content(joined, segments[index].text, joiner)
+                # Segment texts are non-empty, so this is join_content's
+                # result, built in one pass.
+                joined = joiner.join(segments[i].text for i in node.source_segments)
                 if joined != node.content:
                     raise TreeInvariantError(
                         f"{path}: content does not equal joined source segments"

@@ -56,11 +56,13 @@ def _hash_ngrams(
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
 
 
-def reference_featurize(
+def reference_counts(
     inp: ScoringInput,
     hash_seed: int = 0,
     dim: int = DEFAULT_DIM,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> dict[int, float]:
+    """The indicator slots ``inp`` fires, each 1, and its n-gram counts
+    before normalization, by feature index."""
     counts: dict[int, float] = {}
     counts[_KIND_SLOT[inp.focus_kind]] = 1.0
     focus, segment = inp.focus_text, inp.segment_text
@@ -103,7 +105,15 @@ def reference_featurize(
     buckets = dim - INDICATOR_SLOTS
     _hash_ngrams(focus, b"s:", hash_seed, buckets, counts)
     _hash_ngrams(segment, b"q:", hash_seed, buckets, counts)
+    return counts
 
+
+def reference_featurize(
+    inp: ScoringInput,
+    hash_seed: int = 0,
+    dim: int = DEFAULT_DIM,
+) -> tuple[np.ndarray, np.ndarray]:
+    counts = reference_counts(inp, hash_seed, dim)
     indices = np.fromiter(sorted(counts), dtype=np.int64, count=len(counts))
     values = np.array([counts[i] for i in indices], dtype=np.float64)
     grams = indices >= INDICATOR_SLOTS

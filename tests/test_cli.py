@@ -1,5 +1,6 @@
 import functools
 import json
+import math
 import os
 import signal
 import struct
@@ -610,15 +611,18 @@ def test_lone_surrogate_is_schema_error(tmp_path, capsys):
         assert len(err) == 1 and "schema error" in err[0] and field in err[0]
 
 
-def small_container(magic: bytes, dim: int, classes: int, columns=None) -> bytes:
-    """A model container of zero weights over ``columns`` (by default the
-    indicator block, or as much of it as ``dim`` holds), written field by
-    field so that any header and any columns can be stored."""
+def small_container(
+    magic: bytes, dim: int, classes: int, columns=None, weight=0.0, bias=0.0
+) -> bytes:
+    """A model container whose weights over ``columns`` (by default the
+    indicator block, or as much of it as ``dim`` holds) are all
+    ``weight`` and whose bias is all ``bias``, written field by field so
+    that any header, columns and values can be stored."""
     if columns is None:
         columns = range(min(dim, 64))
     header = struct.pack("<4sIQqIQ", magic, 2, dim, 0, classes, len(columns))
-    weights = bytes(8 * (classes * len(columns) + classes))
-    return header + struct.pack(f"<{len(columns)}Q", *columns) + weights
+    values = [weight] * (classes * len(columns)) + [bias] * classes
+    return header + struct.pack(f"<{len(columns)}Q{len(values)}d", *columns, *values)
 
 
 @pytest.mark.parametrize(
@@ -670,12 +674,14 @@ def small_container(magic: bytes, dim: int, classes: int, columns=None) -> bytes
             struct.pack("<4sIQqI", b"CTXM", 1, 128, 0, 4) + bytes(8 * (4 * 128 + 4)),
             "version 1",
         ),
+        ("transition", small_container(b"CTXM", 128, 4, weight=math.nan), "not all finite"),
+        ("transition", small_container(b"CTXM", 128, 4, bias=math.inf), "not all finite"),
     ],
     ids=[
         "three-classes", "dim-64", "pipeline-dim-64", "merge-3", "level-1",
         "level-past-bound", "tagging-odd", "tagging-2", "tagging-past-bound", "lying-header",
         "short-payload", "unsorted-columns", "duplicate-column", "column-past-dim",
-        "missing-indicator", "dim-past-bound", "version-1",
+        "missing-indicator", "dim-past-bound", "version-1", "nan-weight", "inf-bias",
     ],
 )
 def test_invalid_model_file_exits_1(workspace, capsys, method, content, message):

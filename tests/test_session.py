@@ -1,11 +1,14 @@
 """Decode scores a ``LinearModel`` through a per-document session that
-hashes each text once and keeps per-node gram counts. Its features must
-be ``featurize``'s at every step, its work must not grow with the length
-of a ``concat`` chain, and its memory must not grow with the document."""
+hashes each text once and keeps per-node partial logits and gram counts.
+Its squared norms must be ``featurize``'s integers and its scores
+``featurize``'s to rounding at every step, its work must not grow with
+the length of a ``concat`` chain, and its memory must not grow with the
+document."""
 from __future__ import annotations
 
 import itertools
 import tracemalloc
+from collections import Counter
 from datetime import timedelta
 from unittest import mock
 
@@ -24,7 +27,7 @@ from catparse.scoring import (
 )
 from catparse.tree import Action, NodeKind, Segment
 
-from .featurize_reference import reference_featurize
+from .featurize_reference import reference_counts
 
 # Pieces mix one- to four-byte characters, a combining mark, the padding
 # characters ^ and $, numbering shapes and sentence ends.
@@ -61,26 +64,31 @@ def random_head(dim: int, hash_seed: int, rng: np.random.Generator, concat_bias:
 
 
 def traced_decode(segments, scorer, constrained, joiner, script):
-    """Decode, recording the (indices, values) of every ``logits_for`` call.
+    """Decode through ``scorer``'s session, recording the scores of every step.
 
-    With a script, the logits prefer its actions in turn, so any legal
-    action sequence can be driven; otherwise they are the head's own.
+    With a script, the decode is handed logits that prefer its actions in
+    turn, so any legal action sequence can be driven; otherwise the
+    session's own scores decide.
     """
-    features = []
+    scores = []
     preferred = itertools.cycle(script) if script else None
-    logits_for = LinearModel.logits_for
+    session = scorer.session(segments, joiner)
 
-    def spy(model, indices, values):
-        features.append((indices, values))
-        if preferred is None:
-            return logits_for(model, indices, values)
-        logits = np.zeros(4)
-        logits[next(preferred)] = 1.0
-        return logits
+    class Driven:
+        def session(self, segments, joiner):
+            return self
 
-    with mock.patch.object(LinearModel, "logits_for", spy):
-        tree, trace = decode(segments, scorer, constrained, joiner)
-    return tree, trace, features
+        def score(self, focus, segment):
+            result = session.score(focus, segment)
+            scores.append(result)
+            if preferred is None:
+                return result
+            logits = np.zeros(4)
+            logits[next(preferred)] = 1.0
+            return ActionScores.from_logits(logits)
+
+    tree, trace = decode(segments, Driven(), constrained, joiner)
+    return tree, trace, scores
 
 
 @given(
@@ -99,58 +107,99 @@ def traced_decode(segments, scorer, constrained, joiner, script):
     ["1 ab", "中", "$", "^"], "", False, 0, 1000, 0, 0.0,
     [Action.SUB_HEADING, Action.SUB_TEXT, Action.REDUCE, Action.CONCAT, Action.CONCAT],
 )
+# a heading grows, then its child does (the heading's counts are frozen),
+# the focus climbs back and the heading grows again; its first concat
+# makes its content a numbering that its first piece was not
+@example(
+    ["第1", "章", "a", "b", "1"], "", False, 0, 65, 0, 0.0,
+    [Action.SUB_HEADING, Action.CONCAT, Action.SUB_TEXT, Action.CONCAT, Action.REDUCE,
+     Action.CONCAT],
+)
 @example(["a", "^", "$", "b"], " ", True, -1, 65, 1, 8.0, [Action.SUB_TEXT, Action.CONCAT])
 @example(["\U0001F600", "\u0301", "\u00e9\u4e2d"], "\n", True, 2**32, 1 << 18, 2, 8.0, None)
 @settings(max_examples=150, deadline=timedelta(seconds=5))
-def test_session_features_equal_featurize_at_every_step(
+def test_session_scores_match_featurize_at_every_step(
     texts, joiner, constrained, seed, dim, head_seed, concat_bias, script
 ):
     segments = [Segment(text, i) for i, text in enumerate(texts)]
     model = random_head(dim, seed, np.random.default_rng(head_seed), concat_bias)
-    tree, trace, features = traced_decode(segments, model, constrained, joiner, script)
+    with mock.patch.object(scoring, "_step_logits", wraps=scoring._step_logits) as step:
+        tree, trace, scores = traced_decode(segments, model, constrained, joiner, script)
     stateless = Stateless(model)
-    tree_ref, trace_ref, features_ref = traced_decode(
+    tree_ref, trace_ref, scores_ref = traced_decode(
         segments, stateless, constrained, joiner, script
     )
-    assert tree == tree_ref and trace == trace_ref
-    assert len(features) == len(features_ref) == len(stateless.inputs) == len(trace.steps)
-    for (indices, values), (ref_indices, ref_values), inp in zip(
-        features, features_ref, stateless.inputs
-    ):
-        loop_indices, loop_values = reference_featurize(inp, seed, dim)
-        for got, want in ((indices, ref_indices), (values, ref_values)):
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-        assert np.array_equal(indices, loop_indices) and np.array_equal(values, loop_values)
+    assert tree == tree_ref
+    assert [(s.focus_segment, s.segment_index, s.action, s.forced) for s in trace.steps] == [
+        (s.focus_segment, s.segment_index, s.action, s.forced) for s in trace_ref.steps
+    ]
+    assert len(scores) == len(scores_ref) == len(stateless.inputs) == step.call_count
+    for got, want, inp, call in zip(scores, scores_ref, stateless.inputs, step.call_args_list):
+        # The squared norm is exact: an integer, the featurize one.
+        grams = [c for i, c in reference_counts(inp, seed, dim).items() if i >= INDICATOR_SLOTS]
+        square = call.args[1]
+        assert type(square) is int and square == sum(int(c) ** 2 for c in grams)
+        # The logits are summed in another order, so only to rounding.
+        for values, ref in ((got.logits, want.logits), (got.probabilities, want.probabilities)):
+            np.testing.assert_allclose(values, ref, rtol=1e-12, atol=1e-12)
 
 
-def hashed_characters(segments: list[Segment], joiner: str) -> int:
-    """Characters the kernel and the boundary-gram hashing take while
-    decoding ``segments`` into one text node with a head that favours
-    ``concat``."""
-    model = LinearModel.create(dim=1 << 12)
+LETTERS = np.array(list("abcdefghij klmnopqrstuvwxyz"))
+# Enough characters that the distinct grams of a chain keep growing with it.
+CJK = np.array([chr(0x4E00 + k) for k in range(3000)])
+
+
+def chain_work(segments: list[Segment], joiner: str) -> Counter:
+    """The work of decoding ``segments`` into one text node with a head
+    that favours ``concat``: ``chars``, the characters the kernel and the
+    boundary-gram hashing take, and ``entries``, the weight columns
+    gathered plus the count entries merged."""
+    model = LinearModel.create(dim=1 << 18)
     model.bias[:] = [0.0, 1.0, 5.0, 0.0]
-    with mock.patch.object(scoring, "_hash_ngrams", wraps=scoring._hash_ngrams) as kernel, \
-            mock.patch.object(scoring, "_boundary_grams", wraps=scoring._boundary_grams) as edge:
+    work: Counter = Counter()
+    sizes = {
+        "_hash_ngrams": ("chars", lambda rows, *_: sum(len(t) for row in rows for _, t in row)),
+        "_boundary_grams": ("chars", lambda tail, joiner, head, *_: len(tail + joiner + head)),
+        "_gather": ("entries", lambda model, columns: len(columns)),
+        "_merge": ("entries", lambda counts, columns, *_: len(columns)),
+    }
+
+    def counted(name):
+        real = getattr(scoring, name)
+        kind, size = sizes[name]
+
+        def wrapper(*args):
+            work[kind] += size(*args)
+            return real(*args)
+
+        return mock.patch.object(scoring, name, wrapper)
+
+    with counted("_hash_ngrams"), counted("_boundary_grams"), counted("_gather"), \
+            counted("_merge"):
         tree, _ = decode(segments, model, True, joiner)
     (node,) = tree.root.children
     assert node.kind is NodeKind.TEXT and len(node.source_segments) == len(segments)
-    kernel_chars = sum(
-        len(text) for call in kernel.call_args_list for row in call.args[0] for _, text in row
-    )
-    edge_chars = sum(len("".join(call.args[:3])) for call in edge.call_args_list)
-    return kernel_chars + edge_chars
+    return work
 
 
 def test_hashed_characters_per_segment_do_not_grow_with_the_chain():
-    # Rehashing the focus at every step would take about N/2 pieces per segment.
+    # Rehashing the focus at every step would take about N/2 pieces per
+    # segment, and gathering or merging the focus's counts would take
+    # about as many entries as the focus has distinct grams.
     rng = np.random.default_rng(0)
-    letters = np.array(list("abcdefghij klmnopqrstuvwxyz"))
-    for n in (250, 1000):
-        segments = [
-            Segment("".join(rng.choice(letters, size=78)).join("xy"), i) for i in range(n)
-        ]
-        mean_piece = sum(len(s.text) for s in segments) / n
-        assert hashed_characters(segments, " ") / n < 3 * mean_piece
+    for alphabet in (LETTERS, CJK):
+        entries = []
+        for n in (250, 1000, 4000):
+            pieces = rng.choice(alphabet, size=(n, 78))
+            segments = [Segment("".join(piece).join("xy"), i) for i, piece in enumerate(pieces)]
+            mean_piece = sum(len(s.text) for s in segments) / n
+            work = chain_work(segments, " ")
+            assert work["chars"] / n < 3 * mean_piece
+            # A piece of L characters has 3L + 3 grams, gathered under two
+            # namespaces and merged once, and the joint adds a few more.
+            assert work["entries"] / n < 9 * mean_piece + 40
+            entries.append(work["entries"] / n)
+        assert max(entries) < 1.1 * min(entries), entries
 
 
 def decode_working_memory(n: int) -> int:
