@@ -139,4 +139,4 @@ class ScorerBridge(ActionScorer):
 
     def score_input(self, inp: ScoringInput) -> ActionScores:
         logits = self.score_raw(inp.focus_kind.value, inp.focus_text, inp.segment_text)
-        return ActionScores.from_logits(logits)
+        return ActionScores(tuple(logits))

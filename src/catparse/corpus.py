@@ -226,10 +226,9 @@ def _cjk_number(n: int) -> str:
 
 
 def _clause(rng: np.random.Generator) -> str:
+    # One sized draw gives the same stream as as many scalar draws.
     count = int(rng.integers(3, 8))
-    return "".join(
-        _TEXT_WORDS[int(rng.integers(len(_TEXT_WORDS)))] for _ in range(count)
-    )
+    return "".join([_TEXT_WORDS[i] for i in rng.integers(len(_TEXT_WORDS), size=count).tolist()])
 
 
 def _sentence(rng: np.random.Generator) -> str:
@@ -253,7 +252,7 @@ def _title(rng: np.random.Generator, long_ok: bool) -> str:
         rng.integers(1, 4)
     )
     return "".join(
-        _HEADING_WORDS[int(rng.integers(len(_HEADING_WORDS)))] for _ in range(count)
+        [_HEADING_WORDS[i] for i in rng.integers(len(_HEADING_WORDS), size=count).tolist()]
     )
 
 

@@ -32,11 +32,14 @@ class OracleError(Exception):
 
 
 class DecodeStep(NamedTuple):
+    """A step's focus and segment (None for a REDUCE), the action taken,
+    the scorer's four logits, and whether its argmax was illegal."""
+
     # Index of the segment that opened the focus node; None at the root.
     focus_segment: int | None
     segment_index: int | None
     action: Action
-    scores: tuple[float, float, float, float]
+    logits: tuple[float, float, float, float]
     forced: bool
 
 
@@ -69,9 +72,9 @@ def _run(
     return state.tree
 
 
-def _best_of(scores: Sequence[float], candidates: frozenset[Action]) -> Action:
-    """Highest-scoring candidate; exact ties break by declaration order."""
-    return max((a for a in Action if a in candidates), key=lambda a: scores[a])
+def _best_of(probabilities: Sequence[float], candidates: frozenset[Action]) -> Action:
+    """The most probable candidate; exact ties break by declaration order."""
+    return max((a for a in Action if a in candidates), key=lambda a: probabilities[a])
 
 
 def decode(
@@ -84,7 +87,8 @@ def decode(
 
     Each step scores the (focus, next segment) pair through the
     scorer's session for this document and applies the scorer's argmax
-    when it is legal, else the best legal action (a forced step).
+    when it is legal, else the most probable legal action (a forced
+    step, the only kind that computes the softmax).
     Unconstrained decoding (the ablation) drops the text-leaf and
     concat-after-children rules from the legal set, so it may attach
     children to a text node. Every step consumes a segment or
@@ -99,11 +103,12 @@ def decode(
     def choose(state: TransitionState, segment: Segment, legal: frozenset[Action]) -> Action:
         focus = state.focus
         result = session.score(focus, segment)
-        raw = Action(result.best)
-        chosen = raw if raw in legal else _best_of(result.probabilities, legal)
+        best = result.best
+        forced = best not in legal
+        chosen = _best_of(result.probabilities, legal) if forced else Action(best)
         opener = focus.source_segments[0] if focus.source_segments else None
         index = None if chosen is Action.REDUCE else segment.index
-        steps.append(DecodeStep(opener, index, chosen, result.probabilities, raw not in legal))
+        steps.append(DecodeStep(opener, index, chosen, result.logits, forced))
         return chosen
 
     return _run(segments, choose, joiner, constrained), DecodeTrace(steps=steps)

@@ -36,7 +36,9 @@ integer ``featurize`` takes the root of, and its logits are the
 focus's and the segment's partials over that norm plus the indicators
 and the bias, in work that does not grow with the focus. They are
 ``logits_for`` of ``featurize``'s features summed in another order, so
-they may differ from those in the last bits.
+they may differ from those in the last bits. A step's ``ActionScores``
+carry only its four logits, as Python floats; the softmax is computed
+when read, which ``decode`` does only on a forced step.
 """
 from __future__ import annotations
 
@@ -47,7 +49,9 @@ import struct
 import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import accumulate, chain
+from operator import add
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -75,6 +79,7 @@ INDICATOR_SLOTS = 64
 #   52..55 focus numbering depth bucket
 #   56..58 both numbered: segment exactly one deeper / at or above / two+ deeper
 #   59..61 numbering combination: only focus / only segment / neither
+# A step fires at most one of 56..61, and it is the highest slot it fires.
 _KIND_SLOT = {NodeKind.ROOT: 0, NodeKind.HEADING: 1, NodeKind.TEXT: 2}
 _SENTENCE_END_SLOT = 3
 _FOCUS_LEN_BASE = 4
@@ -113,20 +118,26 @@ class ScoringInput:
 
 @dataclass(frozen=True)
 class ActionScores:
+    """The four action logits of a step, as Python floats."""
+
     logits: tuple[float, float, float, float]
-    probabilities: tuple[float, float, float, float]
 
     @classmethod
     def from_logits(cls, logits: Sequence[float]) -> "ActionScores":
         values = np.asarray(logits, dtype=np.float64)
         if values.shape != (4,):
             raise ValueError(f"expected 4 logits, got shape {values.shape}")
-        return cls(logits=tuple(values.tolist()), probabilities=tuple(softmax(values).tolist()))
+        return cls(tuple(values.tolist()))
+
+    @property
+    def probabilities(self) -> tuple[float, float, float, float]:
+        """The softmax of the logits, computed on each read."""
+        return tuple(softmax(np.array(self.logits)).tolist())
 
     @property
     def best(self) -> int:
         """Index of the highest-scoring action; ties go to the lowest index."""
-        return int(np.argmax(self.logits))
+        return self.logits.index(max(self.logits))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -348,52 +359,56 @@ def _hash_chunks(
         yield len(chunk), *_hash_ngrams(chunk, seed, buckets)
 
 
-def _indicator_slots(
-    kind: NodeKind,
-    focus: str,
-    focus_numbering: tuple[list[int], int],
-    segment: str,
-    segment_numbering: tuple[list[int], int],
-) -> list[int]:
-    """The indicator slots (layout at the top) a step fires, sorted, given
-    the ``_numbering_hits`` of its focus and segment texts."""
-    slots = {_KIND_SLOT[kind]}
-    if focus and focus[-1] in TERMINAL_PUNCTUATION:
-        slots.add(_SENTENCE_END_SLOT)
-    slots.add(_FOCUS_LEN_BASE + _length_bucket(len(focus)))
-    slots.add(_SEGMENT_LEN_BASE + _length_bucket(len(segment)))
-    if len(segment) <= 20:
-        slots.add(_SHORT_SEGMENT_SLOT)
+def _focus_slots(kind: NodeKind, focus: str) -> tuple[list[int], int | None]:
+    """The indicator slots (layout at the top) a focus fires whatever the
+    segment, with its numbering depth: None for an empty focus, which
+    fires no slot of 56..61."""
+    slots = [_KIND_SLOT[kind], _FOCUS_LEN_BASE + _length_bucket(len(focus))]
+    if not focus:
+        return slots, None
+    if focus[-1] in TERMINAL_PUNCTUATION:
+        slots.append(_SENTENCE_END_SLOT)
+    hits, depth = _numbering_hits(focus)
+    slots += [_FOCUS_PATTERN_BASE + i for i in hits]
+    slots.append(_FOCUS_DEPTH_BASE + min(depth, 4) - 1 if depth else _FOCUS_UNNUMBERED_SLOT)
+    return slots, depth
 
-    seg_hits, seg_depth = segment_numbering
-    slots.update(_SEGMENT_PATTERN_BASE + i for i in seg_hits)
-    if seg_depth:
-        slots.add(_SEGMENT_DEPTH_BASE + min(seg_depth, 4) - 1)
+
+def _segment_slots(segment: str) -> tuple[list[int], int]:
+    """The indicator slots a segment fires whatever the focus, with its
+    numbering depth."""
+    slots = [_SEGMENT_LEN_BASE + _length_bucket(len(segment))]
+    if len(segment) <= 20:
+        slots.append(_SHORT_SEGMENT_SLOT)
+    hits, depth = _numbering_hits(segment)
+    slots += [_SEGMENT_PATTERN_BASE + i for i in hits]
+    slots.append(_SEGMENT_DEPTH_BASE + min(depth, 4) - 1 if depth else _SEGMENT_UNNUMBERED_SLOT)
+    return slots, depth
+
+
+def _step_slots(focus: tuple, segment: tuple) -> list[int]:
+    """Every indicator slot a step fires, sorted: its ``_focus_slots`` and
+    ``_segment_slots``, then the one that compares their numbering depths."""
+    (focus_slots, focus_depth), (segment_slots, seg_depth) = focus, segment
+    slots = sorted(focus_slots + segment_slots)
+    if focus_depth is None:
+        return slots
+    # How the two numbering depths relate decides most attachments,
+    # so spell the comparison out instead of leaving it additive.
+    if focus_depth and seg_depth:
+        if seg_depth == focus_depth + 1:
+            slots.append(_CHILD_DEPTH_SLOT)
+        elif seg_depth <= focus_depth:
+            slots.append(_SIBLING_OR_SHALLOWER_SLOT)
+        else:
+            slots.append(_SKIPPED_DEPTH_SLOT)
+    elif focus_depth:
+        slots.append(_ONLY_FOCUS_NUMBERED_SLOT)
+    elif seg_depth:
+        slots.append(_ONLY_SEGMENT_NUMBERED_SLOT)
     else:
-        slots.add(_SEGMENT_UNNUMBERED_SLOT)
-    if focus:
-        focus_hits, focus_depth = focus_numbering
-        slots.update(_FOCUS_PATTERN_BASE + i for i in focus_hits)
-        if focus_depth:
-            slots.add(_FOCUS_DEPTH_BASE + min(focus_depth, 4) - 1)
-        else:
-            slots.add(_FOCUS_UNNUMBERED_SLOT)
-        # How the two numbering depths relate decides most attachments,
-        # so spell the comparison out instead of leaving it additive.
-        if focus_depth and seg_depth:
-            if seg_depth == focus_depth + 1:
-                slots.add(_CHILD_DEPTH_SLOT)
-            elif seg_depth <= focus_depth:
-                slots.add(_SIBLING_OR_SHALLOWER_SLOT)
-            else:
-                slots.add(_SKIPPED_DEPTH_SLOT)
-        elif focus_depth:
-            slots.add(_ONLY_FOCUS_NUMBERED_SLOT)
-        elif seg_depth:
-            slots.add(_ONLY_SEGMENT_NUMBERED_SLOT)
-        else:
-            slots.add(_NEITHER_NUMBERED_SLOT)
-    return sorted(slots)
+        slots.append(_NEITHER_NUMBERED_SLOT)
+    return slots
 
 
 def _with_indicators(
@@ -401,10 +416,8 @@ def _with_indicators(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``inp``'s normalized n-gram features with the indicator slots it
     fires in front, each with value 1."""
-    focus, segment = inp.focus_text, inp.segment_text
-    slots = _indicator_slots(
-        inp.focus_kind, focus, _numbering_hits(focus), segment, _numbering_hits(segment)
-    )
+    focus = _focus_slots(inp.focus_kind, inp.focus_text)
+    slots = _step_slots(focus, _segment_slots(inp.segment_text))
     indicators = np.array(slots, dtype=np.int64)
     return np.concatenate([indicators, grams]), np.concatenate([np.ones(len(slots)), values])
 
@@ -541,7 +554,7 @@ class _NodeGrams:
     pieces: int  # how many of the node's segments the counts cover
     tail: str  # the last two characters of ``^content``
     touched: list[np.ndarray] = field(default_factory=list)
-    numbering: tuple[list[int], int] | None = None  # the content's numbering hits
+    slots: tuple[list[int], int | None] | None = None  # the content's _focus_slots
 
 
 class _FeatureSession:
@@ -563,15 +576,17 @@ class _FeatureSession:
     segment's ``q:`` one plus twice the products of their counts in the
     columns both hold: the integer ``featurize`` takes the root of. Its
     logits are the summed partials over the norm, plus the weights of
-    the indicator slots it fires, plus the bias. They are ``logits_for``
-    of ``featurize``'s features summed in another order, so they may
-    differ from those in the last bits.
+    the indicator slots it fires, plus the bias, in plain floats
+    (``_step_logits``). They are ``logits_for`` of ``featurize``'s
+    features summed in another order, so they may differ from those in
+    the last bits.
 
     A node starts frozen, its counts as sorted columns. A ``concat`` onto
     it thaws them into one ``dim``-long count array, freezing the node
     held there, so a ``concat`` onto the node that grows costs what its
-    piece does. The numbering hits of a node's content are kept until
-    its next ``concat``, a segment's while it is scored.
+    piece does. The indicator slots a node's content fires on its own
+    are kept until its next ``concat``, a segment's while it is scored,
+    so a step only compares their numbering depths.
 
     Segment indices are stream positions (``decode`` checks). Nothing is
     held past its last use: a segment's ``s:`` counts go once a node
@@ -599,8 +614,9 @@ class _FeatureSession:
         self._counts = np.zeros(model.dim, dtype=np.int32)
         self._thawed: _NodeGrams | None = None
         self._incoming: tuple | None = None
-        # The indicator block's weights, one row per slot.
-        self._block = model._table[:, :INDICATOR_SLOTS].T.copy()
+        # The indicator block's weights, one row of floats per slot, and the bias.
+        self._block = tuple(map(tuple, model._table[:, :INDICATOR_SLOTS].T.tolist()))
+        self._bias = tuple(model.bias.tolist())
 
     def _take(self, row: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """The columns, counts, partial logits and sum of squared counts of
@@ -673,7 +689,7 @@ class _FeatureSession:
         node.square += _merge(self._counts, edge, deltas, node.touched)
         node.tail = (node.tail + self._joiner + piece)[-2:]
         node.pieces += 1
-        node.numbering = None
+        node.slots = None
 
     def score(self, focus: CatalogNode, segment: Segment) -> ActionScores:
         node = self._node(focus)
@@ -682,9 +698,9 @@ class _FeatureSession:
             columns, counts, partials, square = self._take(2 * segment.index + 2)
             # int64 counts, so the cross term below cannot overflow.
             counts = counts.astype(np.int64)
-            numbering = _numbering_hits(segment.text)
-            self._incoming = (segment.index, columns, counts, partials, square, numbering)
-        _, columns, counts, partials, square, numbering = self._incoming
+            slots = _segment_slots(segment.text)
+            self._incoming = (segment.index, columns, counts, partials.tolist(), square, slots)
+        _, columns, counts, partials, square, slots = self._incoming
         # The node's counts in the segment's columns: s: and q: grams
         # share a column only where their hashes collide.
         if node.columns is None:
@@ -693,15 +709,12 @@ class _FeatureSession:
             at = np.minimum(np.searchsorted(node.columns, columns), len(node.columns) - 1)
             held = np.where(node.columns[at] == columns, node.counts[at], 0)
         cross = int(held @ counts)
-        if node.numbering is None:
-            node.numbering = _numbering_hits(focus.content)
-        slots = _indicator_slots(
-            focus.kind, focus.content, node.numbering, segment.text, numbering
-        )
+        if node.slots is None:
+            node.slots = _focus_slots(focus.kind, focus.content)
+        rows = [self._block[slot] for slot in _step_slots(node.slots, slots)]
+        partials = list(map(add, node.partials.tolist(), partials))
         square = node.square + square + 2 * cross
-        return ActionScores.from_logits(
-            _step_logits(node.partials + partials, square, self._block[slots], self.model.bias)
-        )
+        return ActionScores(_step_logits(partials, square, rows, self._bias))
 
 
 def _partials(
@@ -737,13 +750,17 @@ def _merge(
     return int(((2 * old + deltas) * deltas).sum())
 
 
-def _step_logits(
-    partials: np.ndarray, square: int, indicators: np.ndarray, bias: np.ndarray
-) -> np.ndarray:
+def _step_logits(partials: list[float], square: int, rows: list[tuple], bias: tuple) -> tuple:
     """A step's logits from its summed partials, the integer square of
-    its norm, and the weights of the indicator slots it fires, one row
-    per slot."""
-    return partials / math.sqrt(square) + indicators.sum(axis=0) + bias
+    its norm, the weights of the indicator slots it fires (one row per
+    slot, in slot order) and the bias, in plain floats. Class by class
+    it is ``partials / math.sqrt(square) + rows.sum(axis=0) + bias`` in
+    numpy, bit for bit: the rows are summed one after another from the
+    first."""
+    root = math.sqrt(square)
+    return tuple(
+        p / root + reduce(add, column) + b for p, column, b in zip(partials, zip(*rows), bias)
+    )
 
 
 def _boundary_grams(tail: str, joiner: str, head: str, seed: int, dim: int) -> dict[int, int]:
@@ -877,6 +894,9 @@ def train(
     last_step = np.zeros(len(used), dtype=np.int64)
     step = 0
     lr, decay = config.learning_rate, config.weight_decay
+    # Catch-up factors for every lag there can be; a lookup is the power bit for bit.
+    lags = np.arange(config.epochs * -(-len(examples) // config.batch_size) + 1)
+    beta1_to, beta2_to, decay_to = _BETA1**lags, _BETA2**lags, (1.0 - lr * decay) ** lags
 
     rng = np.random.default_rng(config.seed)
     n = len(examples)
@@ -897,9 +917,9 @@ def train(
             # Catch up lazily skipped steps: decay moments and apply the
             # decoupled weight decay those columns would have received.
             lag = (step - 1) - last_step[cols]
-            m1 *= (_BETA1 ** lag)[:, None]
-            m2 *= (_BETA2 ** lag)[:, None]
-            weights *= (1.0 - lr * decay) ** lag
+            m1 *= beta1_to[lag][:, None]
+            m2 *= beta2_to[lag][:, None]
+            weights *= decay_to[lag]
             last_step[cols] = step
 
             m1 = _BETA1 * m1 + (1 - _BETA1) * grad

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from catparse.corpus import (
@@ -16,7 +19,7 @@ from catparse.corpus import (
     split_corpus,
 )
 from catparse.engine import oracle_actions
-from catparse.jsonio import Document
+from catparse.jsonio import Document, document_to_obj, stream_to_obj
 from catparse.tree import Action, NodeKind, flatten, join_content, validate_tree
 
 from .conftest import heading, node_count, text, tree_of, walkthrough_tree
@@ -265,3 +268,23 @@ def test_chunk_corpus_pairs_streams_with_gold():
     for stream, gdoc in zip(streams, gold_docs):
         validate_tree(gdoc.tree, stream.segments)
         assert [s.index for s in stream.segments] == list(range(len(stream.segments)))
+
+
+# The generated corpus is part of every benchmark input and of the pilot
+# snapshot, so any change to the generator's draws shows here.
+PINNED_CORPUS_SHA256 = {
+    (3, ""): "0b81bcb383f47603b44edbd8197c5d639f41f0fa233820a30601bb142162c36b",
+    (3, " "): "f74c65407f737761d2f006e0c64ff1405a7515d9e5528b927e9d3570b3ff4c49",
+    (11, ""): "e263e4b546da6d3434c3fd427bb1c87305b1f1a3502947c39bc54fabe7960707",
+    (11, " "): "047f543d701a215c5712d42dc60e56af5f6c05f98764c73b8544d37b4fa46dbf",
+}
+
+
+@pytest.mark.parametrize("seed, joiner", sorted(PINNED_CORPUS_SHA256))
+def test_generated_and_chunked_corpus_is_pinned(seed, joiner):
+    docs = generate_corpus(GenConfig(doc_count=40, seed=seed))
+    streams, gold = chunk_corpus(docs, ChunkConfig(seed=seed), joiner)
+    digest = hashlib.sha256()
+    for obj in [document_to_obj(d) for d in gold] + [stream_to_obj(s) for s in streams]:
+        digest.update(json.dumps(obj, ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == PINNED_CORPUS_SHA256[(seed, joiner)]

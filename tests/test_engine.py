@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from catparse.engine import (
     oracle_examples,
     replay_actions,
 )
+from catparse.scoring import ActionScores, softmax
 from catparse.tree import (
     MAX_DEPTH,
     Action,
@@ -31,6 +33,7 @@ from .conftest import (
     RandomScorer,
     ScriptedScorer,
     heading,
+    one_hot_logits,
     text,
     tree_of,
     walkthrough_tree,
@@ -77,8 +80,6 @@ class TestDecode:
     def test_tie_breaks_by_declaration_order(self):
         class Flat(ConstantScorer):
             def score_input(self, inp):
-                from catparse.scoring import ActionScores
-
                 return ActionScores.from_logits([0.0, 0.0, 0.0, 0.0])
 
         tree, trace = decode([Segment("a", 0), Segment("b", 1)], Flat(Action.REDUCE))
@@ -130,7 +131,32 @@ class TestDecode:
 
     def test_trace_scores_are_probabilities(self):
         tree, trace = decode([Segment("a", 0)], ConstantScorer(Action.SUB_TEXT))
-        assert abs(sum(trace.steps[0].scores) - 1.0) < 1e-9
+        assert trace.steps[0].logits == tuple(one_hot_logits(Action.SUB_TEXT))
+        assert abs(sum(softmax(np.array(trace.steps[0].logits))) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "logits, expected, forced",
+        [
+            # At the root only SUB_HEADING and SUB_TEXT are legal. Not
+            # forced: the first highest logit.
+            ([0.0, 3.0, 3.0, 1.0], Action.SUB_TEXT, False),
+            ([3.0, 0.0, 3.0, 3.0], Action.SUB_HEADING, False),
+            # forced: the legal actions rank by probability
+            ([1.0, 2.0, 9.0, 0.0], Action.SUB_TEXT, True),
+            # equal probabilities go to the first in declaration order
+            ([1.0, 1.0, 9.0, 0.0], Action.SUB_HEADING, True),
+            # the legal logits differ, but both probabilities underflow to 0.0
+            ([-5.0, -2.0, 1000.0, 0.0], Action.SUB_HEADING, True),
+        ],
+    )
+    def test_forced_steps_pick_by_probability(self, logits, expected, forced):
+        class Fixed(ConstantScorer):
+            def score_input(self, inp):
+                return ActionScores.from_logits(logits)
+
+        tree, trace = decode([Segment("a", 0)], Fixed(Action.REDUCE))
+        (step,) = trace.steps
+        assert (step.action, step.forced, step.logits) == (expected, forced, tuple(logits))
 
     @pytest.mark.parametrize("indices", [[0, 0], [1, 2], [1, 0]])
     def test_indices_must_be_stream_positions(self, indices):

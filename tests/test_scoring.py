@@ -231,6 +231,24 @@ class TestScore:
         assert base.probabilities[base.best] >= max(base.probabilities) - 1e-12
 
 
+@given(st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, 1e300]), min_size=4, max_size=4))
+def test_best_is_the_first_highest_logit(logits):
+    scores = ActionScores.from_logits(logits)
+    assert scores.best == int(np.argmax(logits))
+    assert scores.best == min(i for i, x in enumerate(logits) if x == max(logits))
+    assert scores.logits == tuple(logits) and all(type(x) is float for x in scores.logits)
+    # the probabilities are the softmax of the logits, on each read
+    assert scores.probabilities == tuple(softmax(np.array(logits)).tolist())
+
+
+@pytest.mark.parametrize(
+    "logits, best",
+    [((0.0, 0.0, 0.0, 0.0), 0), ((1.0, 2.0, 2.0, 0.0), 1), ((0.0, 0.0, 0.0, 3.0), 3)],
+)
+def test_best_breaks_ties_to_the_lowest_index(logits, best):
+    assert ActionScores(logits).best == best
+
+
 def separable_examples():
     return [
         (inp(NodeKind.ROOT, "", "1. 标题"), Action.SUB_HEADING),

@@ -7,16 +7,20 @@ document."""
 from __future__ import annotations
 
 import itertools
+import math
+import struct
 import tracemalloc
 from collections import Counter
 from datetime import timedelta
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from catparse import scoring
+from catparse.corpus import ChunkConfig, GenConfig, chunk_corpus, generate_corpus
 from catparse.engine import decode
 from catparse.scoring import (
     INDICATOR_SLOTS,
@@ -24,9 +28,11 @@ from catparse.scoring import (
     ActionScores,
     LinearModel,
     ScoringInput,
+    step_input,
 )
 from catparse.tree import Action, NodeKind, Segment
 
+from .dense_heads import full_head
 from .featurize_reference import reference_counts
 
 # Pieces mix one- to four-byte characters, a combining mark, the padding
@@ -142,6 +148,92 @@ def test_session_scores_match_featurize_at_every_step(
         # The logits are summed in another order, so only to rounding.
         for values, ref in ((got.logits, want.logits), (got.probabilities, want.probabilities)):
             np.testing.assert_allclose(values, ref, rtol=1e-12, atol=1e-12)
+
+
+def reference_step_logits(partials, square, rows, bias) -> np.ndarray:
+    """A step's logits as numpy sums them: the definition the session's
+    plain-float ``_step_logits`` must reproduce bit for bit."""
+    return np.asarray(partials) / math.sqrt(square) + np.asarray(rows).sum(axis=0) + bias
+
+
+def packed(logits) -> bytes:
+    return struct.pack("<4d", *logits)
+
+
+def assert_steps_match_the_reference(segments, model, joiner, check_slots=True):
+    """Decode ``segments`` with ``model`` and check every step's logits,
+    in the trace and in the scores, against ``reference_step_logits`` bit
+    for bit, and the indicator rows it summed against those of the slots
+    ``reference_counts`` fires."""
+    inputs = []
+
+    class Recorded:
+        def session(self, segments, joiner):
+            inner = model.session(segments, joiner)
+
+            class Session:
+                def score(self, focus, segment):
+                    inputs.append(step_input(focus, segment))
+                    return inner.score(focus, segment)
+
+            return Session()
+
+    with mock.patch.object(scoring, "_step_logits", wraps=scoring._step_logits) as step:
+        _, trace = decode(segments, Recorded(), True, joiner)
+    assert len(trace.steps) == step.call_count == len(inputs)
+    block = model._table[:, :INDICATOR_SLOTS].T
+    for taken, call, inp in zip(trace.steps, step.call_args_list, inputs):
+        partials, square, rows, bias = call.args
+        want = reference_step_logits(partials, square, rows, model.bias)
+        assert packed(taken.logits) == packed(want)
+        assert packed(bias) == packed(model.bias)
+        if check_slots:
+            slots = sorted(i for i in reference_counts(inp, model.hash_seed, model.dim)
+                           if i < INDICATOR_SLOTS)
+            assert np.asarray(rows).tobytes() == block[slots].tobytes()
+    return trace
+
+
+def dense_random_head(dim: int, hash_seed: int, seed: int, concat_bias: float) -> LinearModel:
+    rng = np.random.default_rng(seed)
+    model = full_head(dim, hash_seed=hash_seed)
+    model.weights[:] = rng.normal(size=model.weights.shape)
+    model.bias[:] = rng.normal(size=4)
+    model.bias[Action.CONCAT] += concat_bias
+    return model
+
+
+@pytest.mark.parametrize("joiner", ["", " "])
+def test_step_logits_equal_the_numpy_reference_on_generated_documents(joiner):
+    docs = generate_corpus(GenConfig(doc_count=6, seed=4))
+    streams, _ = chunk_corpus(docs, ChunkConfig(seed=4), joiner)
+    for k, stream in enumerate(streams):
+        model = dense_random_head(1 << 12, k, k, 1.0)
+        trace = assert_steps_match_the_reference(stream.segments, model, joiner)
+        assert any(step.action is Action.CONCAT for step in trace.steps)
+
+
+def test_step_logits_equal_the_numpy_reference_on_a_long_chain():
+    rng = np.random.default_rng(2)
+    pieces = rng.choice(CJK[:300], size=(300, 30))
+    segments = [Segment("".join(piece), i) for i, piece in enumerate(pieces)]
+    model = dense_random_head(1 << 12, 7, 3, 0.0)
+    model.bias[:] = [0.0, 1.0, 40.0, 0.0]
+    trace = assert_steps_match_the_reference(segments, model, " ", check_slots=False)
+    assert [step.action for step in trace.steps[1:]] == [Action.CONCAT] * 299
+
+
+@given(st.integers(1, 20), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_plain_float_step_logits_equal_numpy_bit_for_bit(count, seed):
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-8, 9, size=(count, 4))
+    rows = rng.normal(size=(count, 4)) * scale
+    partials, bias = rng.normal(size=4) * 1e3, rng.normal(size=4)
+    square = int(rng.integers(1, 10**6))
+    got = scoring._step_logits(partials.tolist(), square, rows.tolist(), bias.tolist())
+    assert all(type(x) is float for x in got)
+    assert packed(got) == packed(reference_step_logits(partials, square, rows, bias))
 
 
 LETTERS = np.array(list("abcdefghij klmnopqrstuvwxyz"))
