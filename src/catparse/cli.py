@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import sys
 import time
@@ -262,6 +263,8 @@ def cmd_train(args):
         )
     except EmptyTrainingSet:
         raise
+    except FloatingPointError as exc:
+        raise TrainingFailure(f"{exc}: --lr {args.lr:g} makes training diverge") from exc
     except (ValueError, ArithmeticError) as exc:
         raise TrainingFailure(str(exc)) from exc
 
@@ -293,22 +296,6 @@ def _write_action_dump(path: str, train_pairs, joiner: str) -> None:
     jsonio.write_action_dump(path, rows)
 
 
-# Worker state for --jobs parallelism. Each worker process builds its
-# parser on its first document, from the heads the parent loaded or, with
-# a bridge scorer, from a bridge child of its own; a child that cannot
-# start then fails that document, and the error comes back through its
-# future. Document order is preserved by the executor. When a document
-# fails, the run fails: the worker closes its bridge child at once, since
-# end-of-input at the worker's exit does not stop a child that ignores its
-# stdin, and fails its later documents with the same error.
-_worker: dict = {}
-
-
-def _init_worker(heads, scorer_spec: str, method: str, constrained: bool, joiner: str) -> None:
-    _worker["setup"] = (heads, scorer_spec, method, constrained, joiner)
-    _worker["resources"] = ExitStack()
-
-
 def _parse_scorer_spec(spec: str) -> tuple[str, str]:
     kind, _, rest = spec.partition(":")
     if kind not in ("linear", "bridge") or not rest:
@@ -318,57 +305,43 @@ def _parse_scorer_spec(spec: str) -> tuple[str, str]:
     return kind, rest
 
 
-def _load_heads(scorer_spec, method, resources: ExitStack) -> tuple:
-    """Load the heads ``scorer_spec`` names; a bridge child is registered
-    with ``resources``, which closes it."""
-    kind, rest = _parse_scorer_spec(scorer_spec)
-    if kind == "bridge":
-        return (resources.enter_context(ScorerBridge(rest)),)
-    return methods.load_heads(rest, method)
+def _parse_share(heads, command, method, constrained, joiner, streams) -> list:
+    """Parse a share of the documents and return their trees in order.
 
-
-def _parse_one(segments: list[Segment]):
-    if "error" in _worker:
-        raise _worker["error"]
-    try:
-        if "parse" not in _worker:
-            heads, scorer_spec, method, constrained, joiner = _worker["setup"]
-            if not heads:
-                heads = _load_heads(scorer_spec, method, _worker["resources"])
-            _worker["parse"] = methods.parser_for(method, heads, constrained, joiner)
-        return _worker["parse"](segments)
-    except Exception as exc:
-        _worker["error"] = exc
-        _worker["resources"].close()
-        raise
+    With no ``heads`` the share scores through a bridge child of its own,
+    started on ``command`` and closed, killed if it lingers, when the share
+    ends or fails.
+    """
+    with ExitStack() as resources:
+        if not heads:
+            heads = (resources.enter_context(ScorerBridge(command)),)
+        parse = methods.parser_for(method, heads, constrained, joiner)
+        return [parse(stream.segments) for stream in streams]
 
 
 def cmd_predict(args):
     _require_positive("--jobs", args.jobs)
-    # checked here, not in a --jobs worker, where an error breaks the pool
-    bridge = _parse_scorer_spec(args.scorer)[0] == "bridge"
-    if args.method != "transition" and bridge:
+    # options are checked before any --jobs worker starts
+    kind, rest = _parse_scorer_spec(args.scorer)
+    if args.method != "transition" and kind == "bridge":
         raise ValueError(f"method {args.method} requires a linear: scorer")
     if args.method != "transition" and args.unconstrained:
         raise ValueError(f"--unconstrained needs the transition method, not {args.method}")
     joiner = JOINERS[args.joiner]
     streams = jsonio.read_streams(args.segments, joiner)
-    constrained = not args.unconstrained
-    with ExitStack() as resources:
-        # model files too are read and checked before any worker starts
-        heads = ()
-        if not (bridge and args.jobs > 1):
-            heads = _load_heads(args.scorer, args.method, resources)
-        if args.jobs > 1:
-            with ProcessPoolExecutor(
-                max_workers=args.jobs,
-                initializer=_init_worker,
-                initargs=(heads, args.scorer, args.method, constrained, joiner),
-            ) as pool:
-                trees = list(pool.map(_parse_one, [s.segments for s in streams]))
-        else:
-            parse = methods.parser_for(args.method, heads, constrained, joiner)
-            trees = [parse(s.segments) for s in streams]
+    # model files too are read and checked before any worker starts
+    heads = methods.load_heads(rest, args.method) if kind == "linear" else ()
+    share = functools.partial(
+        _parse_share, heads, rest, args.method, not args.unconstrained, joiner
+    )
+    # documents are dealt in turn into one share per worker
+    jobs = min(args.jobs, len(streams))
+    if jobs <= 1:
+        trees = share(streams)
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            shares = list(pool.map(share, [streams[i::jobs] for i in range(jobs)]))
+        trees = [shares[i % jobs][i // jobs] for i in range(len(streams))]
     docs = [
         jsonio.Document(doc_id=stream.doc_id, source="", tree=tree)
         for stream, tree in zip(streams, trees)

@@ -191,6 +191,13 @@ class GenConfig:
             raise ValueError("doc count must be >= 0")
         if not 0.0 <= self.numbered_fraction <= 1.0:
             raise ValueError("numbered fraction must lie in [0, 1]")
+        for name, (lo, hi), least in (
+            ("children range", self.children_range, 0),
+            ("text length range", self.text_length_range, 1),
+            ("texts per heading", self.texts_per_heading, 0),
+        ):
+            if not least <= lo <= hi:
+                raise ValueError(f"{name} ({lo}, {hi}) must satisfy {least} <= lo <= hi")
 
 
 # The chance that a generated heading is left without children, and the

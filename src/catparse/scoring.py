@@ -860,6 +860,7 @@ def loss_and_grad(
     return float(loss * scale), cols, grad_t.T * scale, errors.sum(axis=0) * scale
 
 
+@np.errstate(over="raise", invalid="raise")
 def train(
     examples: Sequence[tuple[ScoringInput, int]],
     config: TrainConfig,
@@ -872,7 +873,8 @@ def train(
     The model holds the indicator block and every column the examples
     touch. Deterministic for a fixed config seed: the same data and seed
     yield a bit-identical model. ``epoch_callback`` runs after every
-    epoch with the live model (copy it to keep a snapshot).
+    epoch with the live model (copy it to keep a snapshot). An overflow or
+    a NaN raises ``FloatingPointError``: training that diverges stops.
     """
     if not examples:
         raise EmptyTrainingSet("cannot train on an empty example list")

@@ -261,8 +261,9 @@ def test_bridge_failure_exits_1(workspace, capsys, program):
 
 
 def test_bridge_that_cannot_start_with_jobs_exits_1(workspace, capsys):
-    """Each worker starts its bridge child on its first document, so the
-    failure comes back as that document's error, not as a broken pool."""
+    """Each share of the documents starts its own bridge child in its
+    worker, so the failure comes back as that share's error, not as a
+    broken pool."""
     pred = workspace / "bridge-pred.jsonl"
     assert run(
         "predict", "--segments", workspace / "segs.jsonl", "--scorer", "bridge:/nonexistent/cmd",
@@ -274,8 +275,9 @@ def test_bridge_that_cannot_start_with_jobs_exits_1(workspace, capsys):
 
 
 def test_failed_documents_close_their_workers_bridge_children(tmp_path, capsys, monkeypatch):
-    """A worker closes its bridge child when a document fails; end-of-input
-    at the worker's exit would not stop a child that ignores its stdin."""
+    """A share closes its bridge child when one of its documents fails;
+    end-of-input at the worker's exit would not stop a child that ignores
+    its stdin."""
     pids = tmp_path / "pids"
     pids.mkdir()
     stalled = tmp_path / "stalled.py"
@@ -308,6 +310,112 @@ def test_failed_documents_close_their_workers_bridge_children(tmp_path, capsys, 
                 os.kill(int(path.name), signal.SIGKILL)
             except ProcessLookupError:
                 pass
+
+
+def test_finished_shares_close_their_bridge_children(tmp_path):
+    """Each share closes its bridge child when it ends, as --jobs 1 does,
+    so a child that ignores end-of-input does not outlive a run that
+    succeeded."""
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    lingering = tmp_path / "lingering.py"
+    lingering.write_text(
+        "import json, os, sys, time\n"
+        f"open(os.path.join({str(pids)!r}, str(os.getpid())), 'w').close()\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    print(json.dumps({'id': req['id'], 'logits': [0.0, 1.0, 0.0, 0.0]}), flush=True)\n"
+        "time.sleep(60)\n"
+    )
+    segs = tmp_path / "segs.jsonl"
+    segs.write_text("".join(
+        json.dumps({"id": f"d{i}", "segments": ["1. Scope", "Body."]}) + "\n" for i in range(3)
+    ))
+    try:
+        assert run(
+            "predict", "--segments", segs, "--scorer", f"bridge:{sys.executable} -u {lingering}",
+            "--out", tmp_path / "pred.jsonl", "--jobs", "2",
+        ) == 0
+        started = [int(path.name) for path in pids.iterdir()]
+        assert len(started) == 2
+        for pid in started:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        for path in pids.iterdir():
+            try:
+                os.kill(int(path.name), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def test_bridge_predictions_do_not_depend_on_jobs(workspace):
+    """Documents dealt into shares come back in input order, scored by
+    logits that depend on both texts of every step."""
+    scorer_py = workspace / "text_scorer.py"
+    scorer_py.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    s, q = len(req['s']), len(req['q'])\n"
+        "    logits = [s % 7 / 3, q % 5 / 2, (s + q) % 3, (s * q) % 4 / 2]\n"
+        "    print(json.dumps({'id': req['id'], 'logits': logits}), flush=True)\n"
+    )
+    outputs = []
+    for jobs in ("1", "2", "3"):
+        out = workspace / f"pred-{jobs}.jsonl"
+        assert run(
+            "predict", "--segments", workspace / "segs.jsonl",
+            "--scorer", f"bridge:{sys.executable} -u {scorer_py}", "--out", out, "--jobs", jobs,
+        ) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_jobs_past_the_document_count_ask_for_one_worker_per_document(workspace, monkeypatch):
+    asked = []
+
+    class InlinePool:
+        """Records the workers asked for and maps in-process: no process starts."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return None
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    model = workspace / "m.bin"
+    save_model(LinearModel.create(dim=128), model)
+    single, dealt = workspace / "single.jsonl", workspace / "dealt.jsonl"
+    for out, jobs in ((single, "1"), (dealt, "1000")):
+        assert run(
+            "predict", "--segments", workspace / "segs.jsonl", "--scorer", f"linear:{model}",
+            "--out", out, "--jobs", jobs,
+        ) == 0
+    assert asked == [len(read_streams(workspace / "segs.jsonl"))]
+    assert single.read_bytes() == dealt.read_bytes()
+
+
+@pytest.mark.parametrize("method", ["transition", "pipeline", "tagging"])
+def test_diverged_training_exits_3(workspace, capsys, method):
+    """A learning rate that overflows the weights stops training: no model
+    file is written that predict would refuse."""
+    gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"
+    assert run(
+        "train", "--method", method, "--train", gold, "--train-segments", segs,
+        "--dev", gold, "--dev-segments", segs, "--model-out", model,
+        "--lr", "1e100", "--epochs", "1",
+    ) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "training failed" in err[0] and "--lr" in err[0]
+    assert "Traceback" not in err[0] and not model.exists()
 
 
 def owning(content: str, segments: list[int], *children: dict, kind: str = "heading") -> dict:
@@ -373,12 +481,17 @@ def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, caplog, shap
         # checked before any --jobs worker starts
         ("predict", ["--method", "tagging", "--jobs", "2", "--scorer", "bridge:cat"], "linear:"),
         ("train", ["--max-depth", "8"], "--max-depth needs a baseline method"),
+        ("generate", ["--children", "3", "2"], "children range"),
+        ("generate", ["--children", "-1", "2"], "children range"),
+        ("generate", ["--text-len", "5", "2"], "text length range"),
+        ("generate", ["--text-len", "0", "2"], "text length range"),
         ("train", ["--method", "pipeline", "--max-depth", "0"], "must lie in"),
         ("train", ["--method", "tagging", "--max-depth", str(MAX_DEPTH)], "must lie in"),
     ],
     ids=["lr-nan", "lr-inf", "decay-nan", "subsample-0", "subsample-neg", "predict-jobs",
          "pipeline-unconstrained", "tagging-unconstrained", "tagging-bridge",
-         "transition-max-depth", "pipeline-max-depth-0", "tagging-max-depth-past-bound"],
+         "transition-max-depth", "children-reversed", "children-neg", "text-len-reversed",
+         "text-len-0", "pipeline-max-depth-0", "tagging-max-depth-past-bound"],
 )
 def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message):
     gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"
@@ -388,6 +501,7 @@ def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message)
                   "--dev-segments", segs, "--model-out", workspace / "out.bin", "--epochs", "1"],
         "predict": ["--segments", segs, "--scorer", f"linear:{model}",
                     "--out", workspace / "pred.jsonl"],
+        "generate": ["--out", workspace / "out.bin"],
     }[command]
     assert run(command, *rest, *flags) == 1
     err = capsys.readouterr().err.splitlines()
