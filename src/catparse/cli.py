@@ -5,12 +5,13 @@ stats. They read and write the JSON-lines formats described in
 ``jsonio``. Each ``cmd_*`` returns the paths it read and wrote, as
 ``(inputs, outputs)``, ``train`` also its ``extra`` record; ``main``
 times the command and writes its manifest next to the first output, so
-a run that wrote no file gets none. Exit codes:
-0 success, 1 I/O, scorer bridge, model file, option or check failure, 2
-schema violation (a stream that does not match its gold tree, too deep
-a tree), a training or dev tree no transition sequence rebuilds
-(whatever the method: all three train from ``engine.gold_owners``), or
-an empty dev or gold corpus, 3 training failure.
+a run that wrote no file gets none. A gold document is usable when its
+gold actions rebuild it from its stream, ``_check_one``. Exit codes:
+0 success, 1 I/O, scorer bridge, model file, option or check failure
+(``oracle-check``), 2 schema violation (a stream that does not match
+its gold tree, too deep a tree), a training or dev document that fails
+``_check_one`` (named with its fold, whatever the method), or an empty
+dev or gold corpus, 3 training failure.
 """
 from __future__ import annotations
 
@@ -58,26 +59,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Parse ordered text segments into catalog trees.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each default has one home: the config dataclass the command fills
+    gen, chunk, train = corpus.GenConfig(), corpus.ChunkConfig(), scoring.TrainConfig()
 
     p = sub.add_parser("generate", help="generate a synthetic corpus")
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--depth", type=int, nargs=2, default=[2, 5], metavar=("LO", "HI"))
-    p.add_argument("--children", type=int, nargs=2, default=[2, 4], metavar=("LO", "HI"))
-    p.add_argument("--numbered-frac", type=float, default=0.85)
-    p.add_argument("--text-len", type=int, nargs=2, default=[60, 200], metavar=("LO", "HI"))
+    p.add_argument("--count", type=int, default=gen.doc_count)
+    p.add_argument("--depth", type=int, nargs=2, default=gen.depth_range, metavar=("LO", "HI"))
+    p.add_argument(
+        "--children", type=int, nargs=2, default=gen.children_range, metavar=("LO", "HI")
+    )
+    p.add_argument("--numbered-frac", type=float, default=gen.numbered_fraction)
+    p.add_argument(
+        "--text-len", type=int, nargs=2, default=gen.text_length_range, metavar=("LO", "HI")
+    )
     p.add_argument("--source", default="synthetic")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=gen.seed)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("chunk", help="simulate OCR over-segmentation")
     p.add_argument("--corpus", required=True)
     p.add_argument("--segments-out", required=True)
     p.add_argument("--gold-out", required=True)
-    p.add_argument("--chunk-p", type=float, default=0.5)
-    p.add_argument("--heading-range", type=int, nargs=2, default=[7, 20], metavar=("LO", "HI"))
-    p.add_argument("--text-range", type=int, nargs=2, default=[70, 100], metavar=("LO", "HI"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--chunk-p", type=float, default=chunk.chunk_probability)
+    p.add_argument(
+        "--heading-range", type=int, nargs=2, default=chunk.heading_piece_range,
+        metavar=("LO", "HI"),
+    )
+    p.add_argument(
+        "--text-range", type=int, nargs=2, default=chunk.text_piece_range, metavar=("LO", "HI")
+    )
+    p.add_argument("--seed", type=int, default=chunk.seed)
     _add_joiner(p)
     p.set_defaults(func=cmd_chunk)
 
@@ -88,15 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dev-segments", help="segment stream for the dev corpus")
     p.add_argument("--model-out", required=True)
     p.add_argument("--method", choices=methods.METHODS, default="transition")
-    p.add_argument("--lr", type=float, default=2e-3)
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=20)
-    p.add_argument("--weight-decay", type=float, default=0.01)
+    p.add_argument("--lr", type=float, default=train.learning_rate)
+    p.add_argument("--epochs", type=int, default=train.epochs)
+    p.add_argument("--batch-size", type=int, default=train.batch_size)
+    p.add_argument("--weight-decay", type=float, default=train.weight_decay)
     p.add_argument("--subsample", type=int, help="train on N documents only")
     p.add_argument("--max-depth", type=int, help="baseline label budget (pipeline, tagging)")
     p.add_argument("--class-weights", action="store_true")
     p.add_argument("--dump-actions", help="write gold action records here")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=train.seed)
     _add_joiner(p)
     p.set_defaults(func=cmd_train)
 
@@ -179,9 +191,9 @@ def _load_gold_with_segments(
 ) -> list[tuple[jsonio.Document, list[Segment]]]:
     """Pair gold documents with their segment streams.
 
-    Without a stream file every node must carry a trivial one-segment
-    assignment; chunked corpora need the stream written at chunk time,
-    as long as the number of segments its tree owns.
+    Without a stream file each tree's own contents give its stream
+    (``corpus.segments_of``); chunked corpora need the stream written at
+    chunk time, as long as the number of segments its tree owns.
     """
     docs = jsonio.read_corpus(corpus_path)
     if segments_path is None:
@@ -236,11 +248,11 @@ def cmd_train(args):
         raise EmptyTrainingSet("the training corpus is empty")
     if not dev_pairs:
         raise metrics.EmptyEvaluation(f"the dev corpus {args.dev} is empty")
-    for doc, _ in dev_pairs:
-        try:
-            engine.gold_owners(doc.tree)
-        except engine.OracleError as exc:
-            raise engine.OracleError(f"dev document {doc.doc_id!r}: {exc}") from exc
+    for fold, pairs in (("training", train_pairs), ("dev", dev_pairs)):
+        for doc, segments in pairs:
+            problem = _check_one(doc, segments, joiner)
+            if problem is not None:
+                raise engine.OracleError(f"{fold} document {doc.doc_id!r}: {problem}")
 
     config = scoring.TrainConfig(
         learning_rate=args.lr,
@@ -375,8 +387,11 @@ def _check_one(doc: jsonio.Document, segments: list[Segment], joiner: str) -> st
         return f"oracle failed: {exc}"
     except Exception as exc:  # noqa: BLE001 - reported as a counterexample
         return f"replay failed: {exc}"
-    if rebuilt != doc.tree:
-        return "replayed tree differs from gold"
+    # the replay follows the tree's kinds, nesting and segments: only contents can differ
+    for (node, level), (built, _) in zip(iter_nodes(doc.tree), iter_nodes(rebuilt)):
+        if built.content != node.content:
+            where = f"a {node.kind.value} node at level {level}"
+            return f"{where} holds {node.content!r}, its segments joined {built.content!r}"
     return None
 
 

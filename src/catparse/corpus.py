@@ -50,12 +50,19 @@ class ChunkConfig:
 
 
 def _safe_cut(rest: str, target: int, lo: int, hi: int) -> int:
-    """Nudge a cut off a combining mark, staying inside [lo, hi]."""
-    if unicodedata.combining(rest[target]) == 0:
+    """Nudge a cut off a combining mark and off whitespace on either side,
+    which reading a stream would strip, staying inside [lo, hi]."""
+
+    def clean(cut: int) -> bool:
+        return not (
+            unicodedata.combining(rest[cut]) or rest[cut].isspace() or rest[cut - 1].isspace()
+        )
+
+    if clean(target):
         return target
     for delta in range(1, hi):
         for cut in (target - delta, target + delta):
-            if lo <= cut <= min(hi, len(rest) - 1) and unicodedata.combining(rest[cut]) == 0:
+            if lo <= cut <= min(hi, len(rest) - 1) and clean(cut):
                 return cut
     return target
 
@@ -63,26 +70,27 @@ def _safe_cut(rest: str, target: int, lo: int, hi: int) -> int:
 def _split_at_spaces(
     text: str, lo: int, hi: int, rng: np.random.Generator
 ) -> list[str]:
-    """Cut whitespace-delimited text at word boundaries only.
+    """Cut whitespace-delimited text at single spaces only.
 
     The boundary space is dropped; the joiner restores it, so the pieces
-    concatenate back to the original exactly. The cut lands on the
-    nearest space preceding the drawn target (or the next one after it
-    when a long word is in the way), so piece lengths track the range
-    without hard guarantees.
+    concatenate back to the original exactly, and no piece gains the
+    edge whitespace reading a stream would strip. The cut lands on the
+    nearest single space preceding the drawn target (or the next one
+    after it when a long word is in the way), so piece lengths track the
+    range without hard guarantees.
     """
     pieces: list[str] = []
     rest = text
+
+    def single_space(j: int) -> bool:
+        return rest[j] == " " and not rest[j - 1].isspace() and not rest[j + 1 : j + 2].isspace()
+
     while len(rest) > hi:
         target = int(rng.integers(lo, hi + 1))
-        cut = -1
-        for j in range(target, 0, -1):
-            if rest[j] == " ":
-                cut = j
-                break
-        if cut <= 0:
-            cut = rest.find(" ", target)
-            if cut == -1:
+        cut = next((j for j in range(target, 0, -1) if single_space(j)), None)
+        if cut is None:
+            cut = next((j for j in range(target, len(rest)) if single_space(j)), None)
+            if cut is None:
                 break
         pieces.append(rest[:cut])
         rest = rest[cut + 1 :]
@@ -399,24 +407,17 @@ def assign_trivial_segments(tree: CatalogTree) -> None:
 def segments_of(tree: CatalogTree) -> list[Segment]:
     """Recover the segment stream of a trivially segmented tree.
 
-    Only possible when every node owns exactly one segment (its content
-    is then the segment text). Multi-piece nodes need the original
-    stream file.
+    Each node that owns a segment gives its content as one, numbered in
+    pre-order; the oracle round trip decides whether the tree fits that
+    stream. Multi-piece nodes need the original stream file.
     """
-    segments = []
-    for node, level in iter_nodes(tree):
-        if not node.source_segments:
-            raise ValueError(f"a {node.kind.value} node at level {level} owns no segment")
-        if len(node.source_segments) != 1:
-            raise ValueError(
-                "segment texts are not recoverable from a multi-piece node; "
-                "provide the segment stream file"
-            )
-        segments.append(Segment(text=node.content, index=node.source_segments[0]))
-    segments.sort(key=lambda s: s.index)
-    if [s.index for s in segments] != list(range(len(segments))):
-        raise ValueError("tree does not carry a contiguous trivial segmentation")
-    return segments
+    owners = [node for node, _ in iter_nodes(tree) if node.source_segments]
+    if any(len(node.source_segments) > 1 for node in owners):
+        raise ValueError(
+            "segment texts are not recoverable from a multi-piece node; "
+            "provide the segment stream file"
+        )
+    return [Segment(text=node.content, index=i) for i, node in enumerate(owners)]
 
 
 def split_corpus(

@@ -422,8 +422,10 @@ def owning(content: str, segments: list[int], *children: dict, kind: str = "head
     return {"kind": kind, "content": content, "segments": segments, "children": list(children)}
 
 
-# Gold trees no transition sequence rebuilds: the root's children, the
-# root's own segments, and the number of segments the other nodes own.
+# Gold trees no transition sequence rebuilds from their streams: the
+# root's children, the root's own segments, and the number of segments
+# the other nodes own. The stream file reads s0, s1, ..., so a node's
+# content is its stream text only when it is read off the tree itself.
 UNUSABLE_TREES = {
     "backward": ([owning("b", [1]), owning("a", [0])], [], 2),
     "gap": ([owning("a", [0]), owning("b", [1]), owning("c", [5])], [], 3),
@@ -431,13 +433,12 @@ UNUSABLE_TREES = {
     "root-owns": ([owning("a", [1])], [0], 1),
     "double-owner": ([owning("a", [0]), owning("b", [0])], [], 2),
     "text-with-children": ([owning("a", [0], owning("b", [1]), kind="text")], [], 2),
+    "content": ([owning("s0", [0]), owning("a", [1])], [], 2),
 }
 
 
-@pytest.mark.parametrize("shape", sorted(UNUSABLE_TREES))
-def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, caplog, shape):
-    gold, gold_segs = workspace / "gold.jsonl", workspace / "segs.jsonl"
-    assert run("oracle-check", "--corpus", gold, "--segments", gold_segs) == 0
+def write_unusable(tmp_path, shape):
+    """The shape as a one-document corpus named 'broken', with its stream file."""
     children, root_segments, owned = UNUSABLE_TREES[shape]
     root = {"kind": "root", "content": "", "segments": root_segments, "children": children}
     bad = tmp_path / "bad.jsonl"
@@ -445,26 +446,56 @@ def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, caplog, shap
     segs = tmp_path / "bad-segs.jsonl"
     stream = {"id": "broken", "segments": [f"s{i}" for i in range(owned)]}
     segs.write_text(json.dumps(stream) + "\n")
-    assert run("oracle-check", "--corpus", bad, "--segments", segs) == 1
-    # every method trains from the same segment-owner table
+    return bad, segs
+
+
+def assert_train_refuses(tmp_path, capsys, caplog, fold, *argv):
+    """``train`` exits 2 with one line naming the fold and 'broken', before
+    any epoch runs and without writing a model or an action dump."""
+    model, dump = tmp_path / "m.bin", tmp_path / "actions.jsonl"
     capsys.readouterr()
-    for method in ("transition", "pipeline", "tagging"):
-        assert run(
-            "train", "--method", method, "--train", bad, "--train-segments", segs,
-            "--dev", gold, "--dev-segments", gold_segs, "--model-out", tmp_path / "m.bin",
-            "--epochs", "1",
-        ) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "no transition sequence" in err[0]
-    # a dev tree is checked before any epoch runs, and named
+    caplog.clear()
     assert run(
-        "train", "--train", gold, "--train-segments", gold_segs, "--dev", bad,
-        "--dev-segments", segs, "--model-out", tmp_path / "m.bin", "--epochs", "1",
+        "train", *argv, "--model-out", model, "--dump-actions", dump, "--epochs", "1"
     ) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and "no transition sequence" in err[0] and "'broken'" in err[0]
+    assert len(err) == 1 and "no transition sequence" in err[0]
+    assert f"{fold} document 'broken'" in err[0]
     assert not any("epoch" in record.getMessage() for record in caplog.records)
-    assert not (tmp_path / "m.bin").exists()
+    assert not model.exists() and not dump.exists()
+    return err[0]
+
+
+@pytest.mark.parametrize("shape", sorted(UNUSABLE_TREES))
+def test_oracle_check_passes_and_fails(workspace, tmp_path, capsys, caplog, shape):
+    gold, gold_segs = workspace / "gold.jsonl", workspace / "segs.jsonl"
+    assert run("oracle-check", "--corpus", gold, "--segments", gold_segs) == 0
+    bad, segs = write_unusable(tmp_path, shape)
+    assert run("oracle-check", "--corpus", bad, "--segments", segs) == 1
+    # every method trains only from documents the round trip rebuilds
+    for method in ("transition", "pipeline", "tagging"):
+        assert_train_refuses(
+            tmp_path, capsys, caplog, "training", "--method", method,
+            "--train", bad, "--train-segments", segs, "--dev", gold, "--dev-segments", gold_segs,
+        )
+    assert_train_refuses(
+        tmp_path, capsys, caplog, "dev",
+        "--train", gold, "--train-segments", gold_segs, "--dev", bad, "--dev-segments", segs,
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(set(UNUSABLE_TREES) - {"content"}))
+def test_unusable_trees_without_stream_files(workspace, tmp_path, capsys, caplog, shape):
+    """Read off the tree, the stream still fails the same round trip:
+    ``train`` exits 2 and ``oracle-check`` 1, whatever the shape."""
+    docs = workspace / "docs.jsonl"
+    bad, _ = write_unusable(tmp_path, shape)
+    assert run("oracle-check", "--corpus", bad) == 1
+    line = assert_train_refuses(tmp_path, capsys, caplog, "training", "--train", bad, "--dev", docs)
+    assert_train_refuses(tmp_path, capsys, caplog, "dev", "--train", docs, "--dev", bad)
+    if shape == "unowned-node":
+        # named as a node that owns no segment, not as a multi-piece node
+        assert "a text node at level 2 owns no segment" in line
 
 
 @pytest.mark.parametrize(
@@ -511,6 +542,29 @@ def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message)
 
 def test_oracle_check_without_streams_uses_trivial_segments(workspace):
     assert run("oracle-check", "--corpus", workspace / "docs.jsonl") == 0
+
+
+@pytest.mark.parametrize("joiner", ["none", "space"])
+def test_chunked_pieces_have_no_edge_whitespace(tmp_path, joiner):
+    """Reading a stream strips a piece's edge whitespace, so ``chunk`` cuts
+    off it: deep numbered headings hold a space past the shortest heading
+    piece, and a corpus may hold double spaces."""
+    deep, spaced = tmp_path / "deep.jsonl", tmp_path / "spaced.jsonl"
+    assert run("generate", "--out", deep, "--count", "20", "--depth", "6", "7", "--seed", "1") == 0
+    body = "  ".join(f"clause {i} runs on  for a while" for i in range(12))
+    heading = owning("1.1  A heading  with double  spaces", [0], owning(body, [1], kind="text"))
+    root = {"kind": "root", "content": "", "segments": [], "children": [heading]}
+    spaced.write_text(json.dumps({"id": "spaced", "source": "x", "root": root}) + "\n")
+    for corpus in (deep, spaced):
+        segs, gold = tmp_path / "segs.jsonl", tmp_path / "gold.jsonl"
+        assert run(
+            "chunk", "--corpus", corpus, "--segments-out", segs, "--gold-out", gold,
+            "--chunk-p", "1.0", "--seed", "1", "--joiner", joiner,
+        ) == 0
+        pieces = [p for line in segs.read_text().splitlines() for p in json.loads(line)["segments"]]
+        assert len(pieces) > len(read_corpus(corpus))
+        assert all(piece == piece.strip() for piece in pieces)
+        assert run("oracle-check", "--corpus", gold, "--segments", segs, "--joiner", joiner) == 0
 
 
 def test_manifest_sits_next_to_the_first_output(workspace):

@@ -185,10 +185,6 @@ class TestGenerator:
         tree = tree_of(heading("ab", [0, 1]))
         with pytest.raises(ValueError, match="multi-piece"):
             segments_of(tree)
-        # a node that owns no segment is named as such, not as multi-piece
-        tree = tree_of(heading("a", [0], text("", [])), heading("b", [1]))
-        with pytest.raises(ValueError, match="text node at level 2 owns no segment"):
-            segments_of(tree)
 
 
 class TestSplit:
