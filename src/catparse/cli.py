@@ -197,7 +197,7 @@ def _load_gold_with_segments(
     """
     docs = jsonio.read_corpus(corpus_path)
     if segments_path is None:
-        return [(doc, corpus.segments_of(doc.tree)) for doc in docs]
+        return [(doc, corpus.segments_of(doc.tree, joiner)) for doc in docs]
     streams = {s.doc_id: s for s in jsonio.read_streams(segments_path, joiner)}
     paired = []
     for doc in docs:

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .jsonio import Document, SegmentStream
+from .jsonio import Document, SegmentStream, normalize_segment_text
 from .metrics import format_table
 from .tree import (
     MAX_DEPTH,
@@ -49,9 +49,10 @@ class ChunkConfig:
                 raise ValueError(f"piece range ({lo}, {hi}) must satisfy 1 <= lo <= hi")
 
 
-def _safe_cut(rest: str, target: int, lo: int, hi: int) -> int:
+def _safe_cut(rest: str, target: int, lo: int, hi: int) -> int | None:
     """Nudge a cut off a combining mark and off whitespace on either side,
-    which reading a stream would strip, staying inside [lo, hi]."""
+    which reading a stream would strip: the clean cut nearest the target
+    inside [lo, hi], else the first one past ``hi``, else None."""
 
     def clean(cut: int) -> bool:
         return not (
@@ -64,7 +65,7 @@ def _safe_cut(rest: str, target: int, lo: int, hi: int) -> int:
         for cut in (target - delta, target + delta):
             if lo <= cut <= min(hi, len(rest) - 1) and clean(cut):
                 return cut
-    return target
+    return next((cut for cut in range(hi + 1, len(rest)) if clean(cut)), None)
 
 
 def _split_at_spaces(
@@ -101,7 +102,8 @@ def _split_at_spaces(
 def _split_content(
     text: str, lo: int, hi: int, rng: np.random.Generator, joiner: str
 ) -> list[str]:
-    """Cut text into pieces of target length lo..hi; the tail may be shorter."""
+    """Cut text into pieces of target length lo..hi; the tail may be
+    shorter, and is left whole where no clean cut remains."""
     if joiner == " ":
         return _split_at_spaces(text, lo, hi, rng)
     pieces: list[str] = []
@@ -109,6 +111,8 @@ def _split_content(
     while len(rest) > hi:
         target = int(rng.integers(lo, hi + 1))
         cut = _safe_cut(rest, target, lo, hi)
+        if cut is None:
+            break
         pieces.append(rest[:cut])
         rest = rest[cut:]
     pieces.append(rest)
@@ -404,12 +408,13 @@ def assign_trivial_segments(tree: CatalogTree) -> None:
         index += 1
 
 
-def segments_of(tree: CatalogTree) -> list[Segment]:
+def segments_of(tree: CatalogTree, joiner: str = "") -> list[Segment]:
     """Recover the segment stream of a trivially segmented tree.
 
     Each node that owns a segment gives its content as one, numbered in
-    pre-order; the oracle round trip decides whether the tree fits that
-    stream. Multi-piece nodes need the original stream file.
+    pre-order and read as ``read_streams`` reads a stream's texts; the
+    oracle round trip decides whether the tree fits that stream.
+    Multi-piece nodes need the original stream file.
     """
     owners = [node for node, _ in iter_nodes(tree) if node.source_segments]
     if any(len(node.source_segments) > 1 for node in owners):
@@ -417,7 +422,10 @@ def segments_of(tree: CatalogTree) -> list[Segment]:
             "segment texts are not recoverable from a multi-piece node; "
             "provide the segment stream file"
         )
-    return [Segment(text=node.content, index=i) for i, node in enumerate(owners)]
+    return [
+        Segment(text=normalize_segment_text(node.content, joiner), index=i)
+        for i, node in enumerate(owners)
+    ]
 
 
 def split_corpus(
@@ -475,15 +483,8 @@ def corpus_stats(docs: Sequence[Document]) -> list[SourceStats]:
             totals.append(len(tuples))
             depths.append(tree_depth(doc.tree))
         n = len(members)
-        return SourceStats(
-            source=name,
-            docs=n,
-            avg_length=sum(lengths) / n,
-            avg_heading_nodes=sum(headings) / n,
-            avg_text_nodes=sum(texts) / n,
-            avg_total_nodes=sum(totals) / n,
-            avg_depth=sum(depths) / n,
-        )
+        averages = (sum(v) / n for v in (lengths, headings, texts, totals, depths))
+        return SourceStats(name, n, *averages)
 
     rows = [row(source, groups[source]) for source in sorted(groups)]
     rows.append(row("total", list(docs)))
@@ -492,17 +493,8 @@ def corpus_stats(docs: Sequence[Document]) -> list[SourceStats]:
 
 def format_stats(rows: Sequence[SourceStats]) -> str:
     header = ("source", "docs", "avg.len", "avg.heading", "avg.text", "avg.total", "avg.depth")
-    table = [header]
-    for r in rows:
-        table.append(
-            (
-                r.source,
-                str(r.docs),
-                f"{r.avg_length:.2f}",
-                f"{r.avg_heading_nodes:.2f}",
-                f"{r.avg_text_nodes:.2f}",
-                f"{r.avg_total_nodes:.2f}",
-                f"{r.avg_depth:.2f}",
-            )
-        )
-    return format_table(table)
+    averages = ("avg_length", "avg_heading_nodes", "avg_text_nodes", "avg_total_nodes", "avg_depth")
+    return format_table(
+        [header]
+        + [(r.source, str(r.docs), *(f"{getattr(r, a):.2f}" for a in averages)) for r in rows]
+    )

@@ -67,7 +67,7 @@ def train_with_dev_selection(
         f1 = metrics.aggregate(reports).overall.f1
         log.info("epoch %d: dev F1 %.4f", epoch + 1, f1)
         if not history or f1 > max(history):
-            best = model.copy()
+            best = model
         history.append(f1)
 
     scoring.train(examples, config, classes=classes, epoch_callback=on_epoch)

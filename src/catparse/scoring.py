@@ -14,31 +14,21 @@ the features from this formula. A ``LinearModel`` is itself an
 for the sorted ``columns`` it was trained on, the indicator block among
 them; every other feature weighs 0. Training minimizes mean
 cross-entropy with adaptive moment estimation and decoupled weight
-decay. The model it trains holds the indicator block plus the n-gram
-columns the training examples touch, and both moments are as wide as
-that footprint, not ``dim``. Each batch updates only its own columns,
-catching up lazily on the steps they skipped. A model file stores the
-columns and their weights, so it too is as large as the footprint.
+decay over the indicator block plus the n-gram columns the training
+examples touch, so the model, both moments and a model file are as wide
+as that footprint, not ``dim``. ``train`` holds the weights and moments
+one row per column and builds a ``LinearModel`` only when it hands one
+out; ``loss_and_grad`` takes a batch's softmax at once and its gradient
+from one ``np.bincount``.
 
 ``decode`` scores each step through the scorer's session for the
 document. A scorer that scores each step's input on its own, such as the
-bridge, is its own session. A ``LinearModel``'s session hashes each text
-once per document: every segment's ``^text$`` under both namespaces as
-the decode reaches it, one kernel call per ``DECODE_CHUNK_CHARS``
-characters, letting go of what no later step reads. The same pass takes
-each text's partial logits, its counts times their weight columns
-summed, and its integer sum of squared counts. Each node keeps those of
-its content with its ``s:`` counts; a ``concat`` of piece B onto
-content A adds B's, retracts the three grams that hold A's closing
-``$`` and the three that hold B's opening ``^``, and adds the few grams
-that cross the joiner. Counts add, so a step's squared norm is the
-integer ``featurize`` takes the root of, and its logits are the
-focus's and the segment's partials over that norm plus the indicators
-and the bias, in work that does not grow with the focus. They are
-``logits_for`` of ``featurize``'s features summed in another order, so
-they may differ from those in the last bits. A step's ``ActionScores``
-carry only its four logits, as Python floats; the softmax is computed
-when read, which ``decode`` does only on a forced step.
+bridge, is its own session. A ``LinearModel``'s session
+(``_FeatureSession``) hashes each text once per document and scores a
+step in work that does not grow with the focus; its logits may differ
+from ``logits_for``'s in the last bits. A step's ``ActionScores`` carry
+only its four logits, as Python floats; the softmax is computed when
+read, which ``decode`` does only on a forced step.
 """
 from __future__ import annotations
 
@@ -515,9 +505,6 @@ class LinearModel(ActionScorer):
     def classes(self) -> int:
         return self.weights.shape[0]
 
-    def copy(self) -> "LinearModel":
-        return LinearModel(self.columns, self.weights, self.bias, self.hash_seed, self.dim)
-
     def __reduce__(self):
         # Pickled as its fields; the lookup and the padded table are rebuilt.
         return LinearModel, (self.columns, self.weights, self.bias, self.hash_seed, self.dim)
@@ -824,40 +811,48 @@ def inverse_frequency_weights(labels: np.ndarray, classes: int) -> np.ndarray:
 
 
 def loss_and_grad(
-    model: LinearModel,
+    weights: np.ndarray,
+    bias: np.ndarray,
     feats: Sequence[tuple[np.ndarray, np.ndarray]],
     labels: Sequence[int],
     class_weights: np.ndarray,
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean class-weighted cross-entropy of a batch, with its gradient.
 
-    ``feats`` holds one ``featurize`` (indices, values) pair per example.
-    Returns (loss, the sorted touched columns, the weight gradient over
-    those columns with shape (classes, len(columns)), the bias gradient).
+    ``weights`` holds one row of class weights per feature, shape (rows,
+    classes). ``feats`` holds one (rows, values) pair per example: the
+    rows of ``weights`` its features use, and their values. Returns (loss,
+    the weight gradient with the shape of ``weights``, the bias gradient);
+    a row no example uses has a gradient of 0.
     """
-    errors = np.empty((len(feats), model.classes), dtype=np.float64)
-    loss = 0.0
-    for row, ((indices, values), label) in enumerate(zip(feats, labels)):
-        logits = model.logits_for(indices, values)
-        shifted = logits - np.max(logits)
-        probs = np.exp(shifted)
-        total = probs.sum()
-        probs /= total
-        loss += class_weights[label] * (np.log(total) - shifted[label])
-        probs[label] -= 1.0
-        errors[row] = probs * class_weights[label]
-    all_cols = np.concatenate([indices for indices, _ in feats])
-    all_vals = np.concatenate([values for _, values in feats])
-    rows = np.repeat(np.arange(len(feats)), [len(indices) for indices, _ in feats])
-    cols, inverse = np.unique(all_cols, return_inverse=True)
-    contrib = errors[rows] * all_vals[:, None]
-    # bincount adds each column's contributions in input order, starting
-    # from 0, so its sums equal a sequential scatter-add bit for bit
-    grad_t = np.stack(
-        [np.bincount(inverse, weights=w, minlength=len(cols)) for w in contrib.T], axis=1
-    )
+    rows = np.concatenate([r for r, _ in feats])
+    values = np.concatenate([v for _, v in feats])
+    sizes = [len(r) for r, _ in feats]
+    ends = list(accumulate(sizes))
+    gathered = np.take(weights, rows, axis=0)
+    logits = np.array([values[s:e] @ gathered[s:e] for s, e in zip([0] + ends, ends)])
+    logits += bias
+    logits -= logits.max(axis=1, keepdims=True)
+    errors = np.exp(logits)
+    total = errors.sum(axis=1)
+    errors /= total[:, None]
+    picked = np.arange(len(feats)), labels
+    weighting = class_weights[labels]
+    # The examples' losses summed one after another, as a loop would.
+    loss = reduce(add, (weighting * (np.log(total) - logits[picked])).tolist(), 0.0)
+    errors[picked] -= 1.0
+    errors *= weighting[:, None]
+    # One class after another, each feature's error times its value, and
+    # its key column·classes + class. bincount adds each key's terms in
+    # input order from 0, example by example as a sequential scatter-add
+    # would, bit for bit.
+    terms = np.repeat(errors.T, sizes, axis=1)
+    terms *= values
+    keys = np.add.outer(np.arange(len(bias)), rows * len(bias))
+    grad = np.bincount(keys.ravel(), terms.ravel(), weights.size).reshape(weights.shape)
     scale = 1.0 / len(feats)
-    return float(loss * scale), cols, grad_t.T * scale, errors.sum(axis=0) * scale
+    grad *= scale
+    return loss * scale, grad, errors.sum(axis=0) * scale
 
 
 @np.errstate(over="raise", invalid="raise")
@@ -871,10 +866,14 @@ def train(
     """Fit a linear model by mini-batch cross-entropy descent.
 
     The model holds the indicator block and every column the examples
-    touch. Deterministic for a fixed config seed: the same data and seed
-    yield a bit-identical model. ``epoch_callback`` runs after every
-    epoch with the live model (copy it to keep a snapshot). An overflow or
-    a NaN raises ``FloatingPointError``: training that diverges stops.
+    touch. While it trains, the weights and both moments hold one row per
+    column: a batch gathers its columns' rows once, updates them in place
+    and writes them back once. Deterministic for a fixed config seed: the
+    same data and seed yield a bit-identical model. ``epoch_callback``
+    runs after every epoch with a model of its own, built once the weight
+    decay owed to columns a batch skipped is settled; the callback may
+    keep or change it, and training never reads it. An overflow or a NaN
+    raises ``FloatingPointError``: training that diverges stops.
     """
     if not examples:
         raise EmptyTrainingSet("cannot train on an empty example list")
@@ -886,19 +885,35 @@ def train(
     if config.class_weighting:
         class_weights = inverse_frequency_weights(labels, classes)
 
-    used = np.union1d(np.arange(INDICATOR_SLOTS), np.concatenate([i for i, _ in feats]))
-    model = LinearModel(used, np.zeros((classes, len(used))), np.zeros(classes), config.seed, dim)
-    # The moments are column-major: one row per column, gathered at once.
-    moment1 = np.zeros((len(used), classes), dtype=np.float64)
-    moment2 = np.zeros_like(moment1)
-    bias_m1 = np.zeros_like(model.bias)
-    bias_m2 = np.zeros_like(model.bias)
+    # The indicator block and every column the examples touch, numbered
+    # 0 .. U-1: each a row of the tables below. The map is monotone, so
+    # every sorted column order stays the same.
+    row_of = np.zeros(dim, dtype=np.int32)
+    row_of[np.concatenate([np.arange(INDICATOR_SLOTS)] + [i for i, _ in feats])] = 1
+    used = np.flatnonzero(row_of)
+    row_of[used] = np.arange(len(used))
+    # In place, so each example's indices go as its rows come.
+    for k, (indices, values) in enumerate(feats):
+        feats[k] = np.take(row_of, indices), values
+    del row_of
+    weights, moment1, moment2 = (np.zeros((len(used), classes)) for _ in range(3))
+    bias, bias_m1, bias_m2 = np.zeros(classes), np.zeros(classes), np.zeros(classes)
     last_step = np.zeros(len(used), dtype=np.int64)
+    slot = np.zeros(len(used), dtype=np.int32)
     step = 0
-    lr, decay = config.learning_rate, config.weight_decay
+    lr, keep = config.learning_rate, 1.0 - config.learning_rate * config.weight_decay
     # Catch-up factors for every lag there can be; a lookup is the power bit for bit.
     lags = np.arange(config.epochs * -(-len(examples) // config.batch_size) + 1)
-    beta1_to, beta2_to, decay_to = _BETA1**lags, _BETA2**lags, (1.0 - lr * decay) ** lags
+    beta1_to, beta2_to, keep_to = _BETA1**lags, _BETA2**lags, keep**lags
+
+    def settled() -> LinearModel:
+        """A model of the weights as they stand, once the decay owed to
+        columns no batch has touched since the last one is applied."""
+        lag = step - last_step
+        pending = lag > 0
+        weights[pending] *= (keep ** lag[pending])[:, None]
+        last_step[pending] = step
+        return LinearModel(used, weights.T, bias, config.seed, dim)
 
     rng = np.random.default_rng(config.seed)
     n = len(examples)
@@ -907,55 +922,46 @@ def train(
         for start in range(0, n, config.batch_size):
             batch = order[start : start + config.batch_size]
             step += 1
-            _, cols, grad, bias_grad = loss_and_grad(
-                model, [feats[j] for j in batch], labels[batch], class_weights
+            # The batch's rows, sorted and each once, and where each lands
+            # among them.
+            cols = np.sort(np.concatenate([feats[j][0] for j in batch]))
+            cols = cols[np.concatenate(([True], cols[1:] != cols[:-1]))]
+            slot[cols] = np.arange(len(cols))
+            w, m1, m2 = (np.take(table, cols, axis=0) for table in (weights, moment1, moment2))
+            _, grad, bias_grad = loss_and_grad(
+                w,
+                bias,
+                [(np.take(slot, feats[j][0]), feats[j][1]) for j in batch],
+                labels[batch],
+                class_weights,
             )
-            # The columns' positions in the model; the map is monotone, so
-            # every sorted column order stays the same.
-            cols = model._lookup[cols]
-            grad = grad.T
-            m1, m2, weights = moment1[cols], moment2[cols], model.weights[:, cols]
 
-            # Catch up lazily skipped steps: decay moments and apply the
-            # decoupled weight decay those columns would have received.
+            # Catch up lazily on skipped steps (decay the moments, apply the
+            # weight decay those columns would have received), then step.
             lag = (step - 1) - last_step[cols]
-            m1 *= beta1_to[lag][:, None]
-            m2 *= beta2_to[lag][:, None]
-            weights *= decay_to[lag]
             last_step[cols] = step
-
-            m1 = _BETA1 * m1 + (1 - _BETA1) * grad
-            m2 = _BETA2 * m2 + (1 - _BETA2) * grad**2
+            m1 *= beta1_to[lag][:, None]
+            m1 *= _BETA1
+            m1 += (1 - _BETA1) * grad
+            m2 *= beta2_to[lag][:, None]
+            m2 *= _BETA2
+            m2 += (1 - _BETA2) * grad**2
             moment1[cols], moment2[cols] = m1, m2
-            m_hat = m1 / (1 - _BETA1**step)
-            v_hat = m2 / (1 - _BETA2**step)
-            model.weights[:, cols] = weights * (1.0 - lr * decay) - (
-                lr * m_hat / (np.sqrt(v_hat) + _EPS)
-            ).T
+            w *= keep_to[lag][:, None]
+            w *= keep
+            w -= lr * (m1 / (1 - _BETA1**step)) / (np.sqrt(m2 / (1 - _BETA2**step)) + _EPS)
+            weights[cols] = w
 
             bias_m1 = _BETA1 * bias_m1 + (1 - _BETA1) * bias_grad
             bias_m2 = _BETA2 * bias_m2 + (1 - _BETA2) * bias_grad**2
             b_hat1 = bias_m1 / (1 - _BETA1**step)
             b_hat2 = bias_m2 / (1 - _BETA2**step)
-            model.bias -= lr * b_hat1 / (np.sqrt(b_hat2) + _EPS)
+            bias -= lr * b_hat1 / (np.sqrt(b_hat2) + _EPS)
 
         if epoch_callback is not None:
-            _settle_decay(model, last_step, step, lr, decay)
-            epoch_callback(epoch, model)
-
-    _settle_decay(model, last_step, step, lr, decay)
-    return model
-
-
-def _settle_decay(
-    model: LinearModel, last_step: np.ndarray, step: int, lr: float, decay: float
-) -> None:
-    """Apply the weight decay owed to columns not touched since their last update."""
-    lag = step - last_step
-    pending = lag > 0
-    if np.any(pending):
-        model.weights[:, pending] *= (1.0 - lr * decay) ** lag[pending]
-        last_step[pending] = step
+            epoch_callback(epoch, settled())
+    del moment1, moment2  # not needed to build the model
+    return settled()
 
 
 # Model file container, version 2. All integers little-endian. Layout:

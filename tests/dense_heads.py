@@ -4,13 +4,15 @@
 behaves as a ``(classes, dim)`` weight matrix: the dense references and
 the tests that set arbitrary weights use it. ``dense_weights`` expands
 any head to all ``dim`` columns, with 0 where it holds none, which is
-what its logits are computed from.
+what its logits are computed from. ``dense_loss_and_grad`` is
+``loss_and_grad`` over those ``dim`` columns, so an example's feature
+indices are its rows.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from catparse.scoring import DEFAULT_DIM, LinearModel
+from catparse.scoring import DEFAULT_DIM, LinearModel, loss_and_grad
 
 
 def full_head(dim: int = DEFAULT_DIM, classes: int = 4, hash_seed: int = 0) -> LinearModel:
@@ -27,3 +29,8 @@ def dense_weights(model: LinearModel) -> np.ndarray:
     dense = np.zeros((model.classes, model.dim))
     dense[:, model.columns] = model.weights
     return dense
+
+
+def dense_loss_and_grad(model: LinearModel, feats, labels, class_weights):
+    """(loss, the (dim, classes) weight gradient, the bias gradient)."""
+    return loss_and_grad(dense_weights(model).T, model.bias, feats, labels, class_weights)

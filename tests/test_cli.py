@@ -567,6 +567,41 @@ def test_chunked_pieces_have_no_edge_whitespace(tmp_path, joiner):
         assert run("oracle-check", "--corpus", gold, "--segments", segs, "--joiner", joiner) == 0
 
 
+def chunk_one_heading(tmp_path, content, *flags):
+    """A one-heading corpus holding ``content``, chunked with ``flags``:
+    the paths of its segment stream and its gold corpus."""
+    corpus, segs, gold = (tmp_path / f"{name}.jsonl" for name in ("one", "segs", "gold"))
+    root = {"kind": "root", "content": "", "segments": [], "children": [owning(content, [0])]}
+    corpus.write_text(json.dumps({"id": "one", "source": "x", "root": root}) + "\n")
+    assert run("chunk", "--corpus", corpus, "--segments-out", segs, "--gold-out", gold, *flags) == 0
+    return segs, gold
+
+
+@pytest.mark.parametrize("tail, pieces", [("title words", 2), ("x", 1)])
+def test_whitespace_wider_than_a_piece_is_not_cut(tmp_path, tail, pieces):
+    """Where no cut inside the piece range avoids whitespace, ``chunk``
+    cuts at the first clean place past it, or leaves the rest whole."""
+    content = "1.1" + " " * 30 + tail
+    segs, gold = chunk_one_heading(tmp_path, content, "--chunk-p", "1.0", "--seed", "1")
+    written = json.loads(segs.read_text())["segments"]
+    assert len(written) == pieces and "".join(written) == content
+    assert all(piece == piece.strip() for piece in written)
+    assert run("oracle-check", "--corpus", gold, "--segments", segs) == 0
+
+
+def test_contents_are_read_as_stream_texts_are(tmp_path, capsys):
+    """Without a stream file a node's content is read as ``read_streams``
+    reads a segment, so ``oracle-check`` says the same with or without the
+    stream that copies the contents."""
+    segs, gold = chunk_one_heading(tmp_path, "1. Overview ", "--chunk-p", "0")
+    capsys.readouterr()
+    said = []
+    for stream in ([], ["--segments", segs]):
+        said.append((run("oracle-check", "--corpus", gold, *stream), capsys.readouterr().err))
+    assert said[0] == said[1]
+    assert said[0][0] == 1 and "its segments joined '1. Overview'" in said[0][1]
+
+
 def test_manifest_sits_next_to_the_first_output(workspace):
     gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"
     pred, report, stats = (workspace / name for name in ("pred.jsonl", "report.json", "stats.json"))

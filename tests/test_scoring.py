@@ -23,14 +23,13 @@ from catparse.scoring import (
     featurize_many,
     inverse_frequency_weights,
     load_model,
-    loss_and_grad,
     save_model,
     softmax,
     train,
 )
 from catparse.tree import Action, NodeKind
 
-from .dense_heads import dense_weights, full_head
+from .dense_heads import dense_loss_and_grad, dense_weights, full_head
 from .featurize_reference import reference_featurize
 from .train_reference import reference_loss_and_grad, reference_train
 
@@ -315,7 +314,7 @@ class TestCompactHead:
             want = dense[:, indices] @ values + model.bias
             assert model.logits_for(indices, values).tobytes() == want.tobytes()
 
-    def test_pickle_and_copy_rebuild_the_head(self):
+    def test_pickle_rebuilds_the_head(self):
         rng = np.random.default_rng(2)
         model = LinearModel(
             columns=np.array([*range(INDICATOR_SLOTS), 70, 99]),
@@ -325,13 +324,13 @@ class TestCompactHead:
             dim=128,
         )
         indices, values = np.array([3, 70, 71, 99]), np.array([1.0, 0.5, 2.0, -1.0])
-        for other in (pickle.loads(pickle.dumps(model)), model.copy()):
-            assert other.logits_for(indices, values).tobytes() == (
-                model.logits_for(indices, values).tobytes()
-            )
-            # a copy owns its weights
-            other.weights[:, -1] += 1.0
-            assert other.logits_for(indices, values)[0] != model.logits_for(indices, values)[0]
+        other = pickle.loads(pickle.dumps(model))
+        assert other.logits_for(indices, values).tobytes() == (
+            model.logits_for(indices, values).tobytes()
+        )
+        # the unpickled head owns its weights
+        other.weights[:, -1] += 1.0
+        assert other.logits_for(indices, values)[0] != model.logits_for(indices, values)[0]
 
 
 class TestTrain:
@@ -347,7 +346,7 @@ class TestTrain:
 
         def mean_loss(model):
             feats = [featurize(example, model.hash_seed, SMALL_DIM) for example, _ in examples]
-            return loss_and_grad(model, feats, labels, np.ones(4))[0]
+            return dense_loss_and_grad(model, feats, labels, np.ones(4))[0]
 
         before = mean_loss(LinearModel.create(dim=SMALL_DIM))
         model = train(examples, TrainConfig(epochs=5, seed=0), dim=SMALL_DIM)
@@ -430,6 +429,26 @@ class TestTrainMatchesDenseReference:
         digest.update(model.bias.astype("<f8").tobytes())
         assert digest.hexdigest() == PINNED_TRAIN_SHA256
 
+    def test_each_epoch_gets_a_model_of_its_own(self, oracle_inputs):
+        examples = relabelled(oracle_inputs[:60], 4)
+        config = TrainConfig(epochs=3, seed=3)
+        clean = []
+        final = train(examples, config, 4, SMALL_DIM, lambda e, m: clean.append(snapshot(m)))
+        seen, kept = [], []
+
+        def scribble(epoch, model):
+            seen.append(snapshot(model))
+            kept.append(model)
+            model.weights[:] = epoch + 7.0
+            model.bias[:] = epoch + 7.0
+
+        scribbled = train(examples, config, 4, SMALL_DIM, scribble)
+        assert seen == clean
+        assert snapshot(scribbled) == snapshot(final)
+        # training writes nothing into a model it has handed out
+        for epoch, model in enumerate(kept):
+            assert (model.weights == epoch + 7.0).all() and (model.bias == epoch + 7.0).all()
+
     @pytest.mark.parametrize("classes", [4, 18])
     def test_gradient_bytes_on_shared_columns(self, oracle_inputs, classes):
         rng = np.random.default_rng(classes)
@@ -442,14 +461,19 @@ class TestTrainMatchesDenseReference:
         weights = inverse_frequency_weights(labels, classes)
         for start in range(0, len(feats), 30):
             batch = feats[start : start + 30]
-            got = loss_and_grad(model, batch, labels[start : start + 30], weights)
+            loss, grad, grad_b = dense_loss_and_grad(
+                model, batch, labels[start : start + 30], weights
+            )
             want = reference_loss_and_grad(model, batch, labels[start : start + 30], weights)
+            cols = want[1]
             # the batch's examples share most of their columns
-            assert 2 * len(got[1]) < sum(len(indices) for indices, _ in batch)
-            assert got[0] == want[0]
-            for mine, theirs in zip(got[1:], want[1:]):
-                assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
-                assert mine.tobytes() == theirs.tobytes()
+            assert 2 * len(cols) < sum(len(indices) for indices, _ in batch)
+            assert loss == want[0]
+            assert grad.shape == (SMALL_DIM, classes) and grad.dtype == want[2].dtype
+            assert grad[cols].T.tobytes() == want[2].tobytes()
+            assert not np.delete(grad, cols, axis=0).any()
+            assert grad_b.shape == want[3].shape and grad_b.dtype == want[3].dtype
+            assert grad_b.tobytes() == want[3].tobytes()
 
 
 class TestGradient:
@@ -469,8 +493,8 @@ class TestGradient:
             )
             label = case % 4
             indices, values = featurize(example, model.hash_seed, SMALL_DIM)
-            _, cols, grad_w, _ = loss_and_grad(model, [(indices, values)], [label], np.ones(4))
-            assert np.array_equal(cols, indices)
+            _, grad_w, _ = dense_loss_and_grad(model, [(indices, values)], [label], np.ones(4))
+            assert not np.delete(grad_w, indices, axis=0).any()
 
             def loss_at(m):
                 logits = m.logits_for(indices, values)
@@ -487,7 +511,7 @@ class TestGradient:
                     down = loss_at(model)
                     model.weights[cls, col] += step
                     numeric = (up - down) / (2 * step)
-                    analytic = grad_w[cls, k]
+                    analytic = grad_w[col, cls]
                     denom = max(1e-8, abs(numeric) + abs(analytic))
                     assert abs(numeric - analytic) / denom < 1e-4
                     checked += 1
@@ -511,8 +535,10 @@ class TestGradient:
         labels = np.array([label for _, label in batch])
         weights = inverse_frequency_weights(labels, 4)
         assert weights[1] != weights[0]
-        loss, cols, grad_w, grad_b = loss_and_grad(model, feats, labels, weights)
+        loss, grad_w, grad_b = dense_loss_and_grad(model, feats, labels, weights)
+        cols = np.unique(np.concatenate([indices for indices, _ in feats]))
         assert len(cols) < sum(len(indices) for indices, _ in feats)
+        assert not np.delete(grad_w, cols, axis=0).any()
 
         expected = np.mean([
             weights[label] * -np.log(softmax(model.logits_for(*f))[label])
@@ -523,17 +549,17 @@ class TestGradient:
         def check(param, index, analytic):
             step = 1e-6
             param[index] += step
-            up = loss_and_grad(model, feats, labels, weights)[0]
+            up = dense_loss_and_grad(model, feats, labels, weights)[0]
             param[index] -= 2 * step
-            down = loss_and_grad(model, feats, labels, weights)[0]
+            down = dense_loss_and_grad(model, feats, labels, weights)[0]
             param[index] += step
             numeric = (up - down) / (2 * step)
             denom = max(1e-8, abs(numeric) + abs(analytic))
             assert abs(numeric - analytic) / denom < 1e-4
 
-        for k, col in enumerate(cols):
+        for col in cols:
             for cls in range(4):
-                check(model.weights, (cls, col), grad_w[cls, k])
+                check(model.weights, (cls, col), grad_w[col, cls])
         for cls in range(4):
             check(model.bias, cls, grad_b[cls])
 

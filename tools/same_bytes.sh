@@ -5,12 +5,13 @@
 #
 # REV is exported with `git archive`. For each seed, each side's src/
 # generates and chunks a train, a dev and a test corpus; trains the three
-# methods for 2 epochs; predicts the test fold with each (transition also
-# with --unconstrained and with --jobs 2); and evaluates the three
-# methods' predictions. Every output but the manifests is compared with
-# `cmp`, and each train manifest's "extra" record (dev F1 per epoch, best
-# epoch) with its twin. Exits 0 when all agree, 1 naming the first
-# difference, 2 when a command fails.
+# methods for 2 epochs, and transition once more with class weights and
+# --lr 0.02, as the benchmark's longdoc inputs are trained; predicts the
+# test fold with each model (transition also with --unconstrained and with
+# --jobs 2); and evaluates the three methods' predictions. Every output
+# but the manifests is compared with `cmp`, and each train manifest's
+# "extra" record (dev F1 per epoch, best epoch) with its twin. Exits 0
+# when all agree, 1 naming the first difference, 2 when a command fails.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -60,6 +61,12 @@ run_side() {  # run_side SRC OUT SEED
         --scorer "linear:$out/model_transition.bin" --out "$out/pred_unconstrained.jsonl"
     catparse predict --jobs 2 --segments "$out/segs_test.jsonl" \
         --scorer "linear:$out/model_transition.bin" --out "$out/pred_jobs2.jsonl"
+    catparse train --method transition --epochs 2 --seed "$seed" --class-weights --lr 0.02 \
+        --train "$out/gold_train.jsonl" --train-segments "$out/segs_train.jsonl" \
+        --dev "$out/gold_dev.jsonl" --dev-segments "$out/segs_dev.jsonl" \
+        --model-out "$out/model_weighted.bin"
+    catparse predict --segments "$out/segs_test.jsonl" \
+        --scorer "linear:$out/model_weighted.bin" --out "$out/pred_weighted.jsonl"
 }
 
 differ() {
