@@ -5,14 +5,17 @@ The built-in backend hashes character n-grams of the focus node's content
 and the incoming segment into a fixed-dimension vector, adds a small block
 of dense indicator features, and scores actions with a linear layer
 followed by a softmax. Each 1-, 2- or 3-gram ``g`` of ``^focus$``
-(namespace ``ns = b"s:"``) and of ``^segment$`` (``ns = b"q:"``) counts
-once in feature
-``INDICATOR_SLOTS + zlib.crc32(g_utf8, zlib.crc32(ns, seed & 0xFFFFFFFF)) % (dim - INDICATOR_SLOTS)``,
-and the n-gram counts are L2-normalized; external scorers can rebuild
-the features from this formula. A ``LinearModel`` is itself an
-``ActionScorer``. It hashes into ``dim`` features but holds weights only
-for the sorted ``columns`` it was trained on, the indicator block among
-them; every other feature weighs 0. Training minimizes mean
+(namespace ``ns = b"s:"``, ``k = 0``) and of ``^segment$`` (``ns =
+b"q:"``, ``k = 1``) counts once in feature
+``INDICATOR_SLOTS + k * half + zlib.crc32(g_utf8, zlib.crc32(ns, seed & 0xFFFFFFFF)) % half``
+with ``half = (dim - INDICATOR_SLOTS) // 2``: focus grams fill the lower
+half of the n-gram block and segment grams the upper half (the last
+feature of an odd block stays unused). The n-gram counts are
+L2-normalized; external scorers can rebuild the features from this
+formula. A ``LinearModel`` is itself an ``ActionScorer``. It hashes
+into ``dim`` features but holds weights only for the sorted ``columns``
+it was trained on, the indicator block among them; every other feature
+weighs 0. Training minimizes mean
 cross-entropy with adaptive moment estimation and decoupled weight
 decay over the indicator block plus the n-gram columns the training
 examples touch, so the model, both moments and a model file are as wide
@@ -256,20 +259,20 @@ _SEGMENT_NS = b"q:"
 
 
 def _hash_ngrams(
-    rows: Sequence[Sequence[tuple[bytes, str]]], seed: int, buckets: int
+    rows: Sequence[Sequence[tuple[bytes, str]]], seed: int, dim: int
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Sorted n-gram features of each row's texts with their counts, for
     many rows at once. A row is a sequence of (namespace, text) pairs;
     every gram of each padded ``^text$`` counts once in the column the
-    module docstring's formula gives under that namespace (``buckets =
-    dim - INDICATOR_SLOTS``).
+    module docstring's formula gives under that namespace.
 
     Returns the columns and counts of all rows back to back, row by row,
     and the offset where each row's run ends. All padded texts are joined
     and hashed in one pass (``_gram_crcs``). One ``np.unique`` keyed by
-    ``row * buckets + column`` then counts each row's columns apart from
-    its neighbours'.
+    ``(2 * row + k) * half + crc % half`` then counts each row's columns
+    apart from its neighbours'.
     """
+    half = (dim - INDICATOR_SLOTS) // 2
     texts = [pair for row in rows for pair in row]
     lengths = [len(piece) + 2 for _, piece in texts]
     ends = list(accumulate(lengths))
@@ -282,16 +285,18 @@ def _hash_ngrams(
         np.repeat(np.array([start_of[ns] for ns, _ in texts], np.uint32), lengths),
         list(zip([0] + ends, ends)),
     )
-    buckets_of %= buckets
+    buckets_of %= half
     # A padded text of L characters has L - n grams of n + 1 characters.
     per_text = [length - n for n in range(3) for length in lengths]
-    text_row = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    keys = np.repeat(np.tile(text_row, 3), per_text)
-    keys *= buckets
+    # Each row spans two halves of keys; a segment text hashes into its upper one.
+    text_half = np.repeat(2 * np.arange(len(rows)), [len(row) for row in rows])
+    text_half += [ns == _SEGMENT_NS for ns, _ in texts]
+    keys = np.repeat(np.tile(text_half, 3), per_text)
+    keys *= half
     keys += buckets_of
     keys, counts = np.unique(keys, return_counts=True)
-    row_ends = np.searchsorted(keys, np.arange(1, len(rows) + 1) * buckets).tolist()
-    return INDICATOR_SLOTS + keys % buckets, counts, row_ends
+    row_ends = np.searchsorted(keys, np.arange(1, len(rows) + 1) * 2 * half).tolist()
+    return INDICATOR_SLOTS + keys % (2 * half), counts, row_ends
 
 
 def _gram_crcs(text: str, register: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
@@ -332,7 +337,7 @@ def _gram_crcs(text: str, register: np.ndarray, spans: list[tuple[int, int]]) ->
 
 
 def _hash_chunks(
-    rows: Iterable[Sequence[tuple[bytes, str]]], seed: int, buckets: int, chunk_chars: int
+    rows: Iterable[Sequence[tuple[bytes, str]]], seed: int, dim: int, chunk_chars: int
 ):
     """``_hash_ngrams`` over ``rows``, one kernel call per ``chunk_chars``
     characters: yields the number of rows in each chunk with the kernel's
@@ -343,10 +348,10 @@ def _hash_chunks(
         chunk.append(row)
         chars += sum(len(text) for _, text in row)
         if chars >= chunk_chars:
-            yield len(chunk), *_hash_ngrams(chunk, seed, buckets)
+            yield len(chunk), *_hash_ngrams(chunk, seed, dim)
             chunk, chars = [], 0
     if chunk:
-        yield len(chunk), *_hash_ngrams(chunk, seed, buckets)
+        yield len(chunk), *_hash_ngrams(chunk, seed, dim)
 
 
 def _focus_slots(kind: NodeKind, focus: str) -> tuple[list[int], int | None]:
@@ -419,10 +424,11 @@ def featurize(
     feature dimension ``dim``.
 
     Character 1- to 3-grams of the focus and segment texts live in
-    disjoint hash namespaces inside the n-gram block (formula in the
-    module docstring); the dense indicator block occupies its own reserved
-    index range, so the two can never collide. The n-gram block is
-    L2-normalized so the indicators keep a stable share of the margin.
+    disjoint halves of the n-gram block (formula in the module
+    docstring), and the dense indicator block occupies its own reserved
+    index range, so no two of the three ever share a feature. The n-gram
+    block is L2-normalized so the indicators keep a stable share of the
+    margin.
     Deterministic for a fixed hash seed.
     """
     return featurize_many([inp], hash_seed, dim)[0]
@@ -435,8 +441,7 @@ def featurize_many(
     ``HASH_CHUNK_CHARS`` characters."""
     out: list[tuple[np.ndarray, np.ndarray]] = []
     rows = (((_FOCUS_NS, x.focus_text), (_SEGMENT_NS, x.segment_text)) for x in inputs)
-    buckets = dim - INDICATOR_SLOTS
-    for count, grams, counts, ends in _hash_chunks(rows, hash_seed, buckets, HASH_CHUNK_CHARS):
+    for count, grams, counts, ends in _hash_chunks(rows, hash_seed, dim, HASH_CHUNK_CHARS):
         values = counts.astype(np.float64)
         row_of = np.repeat(np.arange(count), np.diff(ends, prepend=0))
         # Every row has grams, and integer sums of squares are exact.
@@ -467,10 +472,10 @@ class LinearModel(ActionScorer):
 
     def __post_init__(self) -> None:
         cols = self.columns
-        if self.dim <= INDICATOR_SLOTS:
+        if self.dim < INDICATOR_SLOTS + 2:
             raise ValueError(
-                f"feature dimension {self.dim} must exceed the"
-                f" {INDICATOR_SLOTS}-slot indicator block"
+                f"feature dimension {self.dim} must exceed the {INDICATOR_SLOTS}-slot"
+                " indicator block by 2: one n-gram column for focus grams, one for segment grams"
             )
         if self.dim > MAX_DIM:
             raise ValueError(f"feature dimension {self.dim} exceeds the bound {MAX_DIM}")
@@ -525,8 +530,9 @@ class LinearModel(ActionScorer):
 
 @dataclass
 class _NodeGrams:
-    """What a step needs of a node's content: the partial logits and the
-    sum of squared counts of its ``s:`` grams, and the counts themselves.
+    """What a step needs of a node's content, the partial logits and the
+    sum of squared counts of its ``s:`` grams, and what a ``concat``
+    needs besides: the counts themselves.
 
     A frozen node holds its counts as sorted ``columns`` with their
     ``counts``. While it grows its counts live in its session's count
@@ -560,25 +566,25 @@ class _FeatureSession:
     the columns it changes.
 
     A step's squared norm is the node's sum of squares plus the
-    segment's ``q:`` one plus twice the products of their counts in the
-    columns both hold: the integer ``featurize`` takes the root of. Its
-    logits are the summed partials over the norm, plus the weights of
-    the indicator slots it fires, plus the bias, in plain floats
-    (``_step_logits``). They are ``logits_for`` of ``featurize``'s
-    features summed in another order, so they may differ from those in
-    the last bits.
+    segment's ``q:`` one, as ``s:`` and ``q:`` grams never share a
+    column: the integer ``featurize`` takes the root of. Its logits are
+    the summed partials over the norm, plus the weights of the indicator
+    slots it fires, plus the bias, in plain floats (``_step_logits``).
+    They are ``logits_for`` of ``featurize``'s features summed in another
+    order, so they may differ from those in the last bits.
 
     A node starts frozen, its counts as sorted columns. A ``concat`` onto
-    it thaws them into one ``dim``-long count array, freezing the node
-    held there, so a ``concat`` onto the node that grows costs what its
-    piece does. The indicator slots a node's content fires on its own
-    are kept until its next ``concat``, a segment's while it is scored,
-    so a step only compares their numbering depths.
+    it thaws them into one count array over the indicator block and the
+    ``s:`` half, freezing the node held there, so a ``concat`` onto the
+    node that grows costs what its piece does. The indicator slots a
+    node's content fires on its own are kept until its next ``concat``, a
+    segment's while it is scored, so a step only compares their numbering
+    depths.
 
     Segment indices are stream positions (``decode`` checks). Nothing is
     held past its last use: a segment's ``s:`` counts go once a node
-    takes them, its ``q:`` counts once the next segment comes in, and a
-    node's counts once the focus climbs above it.
+    takes them, its ``q:`` counts once its partials and square are
+    taken, and a node's counts once the focus climbs above it.
     """
 
     def __init__(self, model: LinearModel, segments: Sequence[Segment], joiner: str):
@@ -591,14 +597,14 @@ class _FeatureSession:
             [((_FOCUS_NS, ""),)],
             (((ns, segment.text),) for segment in segments for ns in (_FOCUS_NS, _SEGMENT_NS)),
         )
-        buckets = model.dim - INDICATOR_SLOTS
-        self._chunks = _hash_chunks(rows, model.hash_seed, buckets, DECODE_CHUNK_CHARS)
+        self._chunks = _hash_chunks(rows, model.hash_seed, model.dim, DECODE_CHUNK_CHARS)
         self._hashed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
         self._rows = 0
         # The nodes from the root to the focus, the root under None.
         self._path: dict[int | None, _NodeGrams] = {}
-        # The counts of the one node that grows, by column.
-        self._counts = np.zeros(model.dim, dtype=np.int32)
+        # The counts of the one node that grows, by column; s: columns
+        # end where the q: half starts.
+        self._counts = np.zeros(INDICATOR_SLOTS + (model.dim - INDICATOR_SLOTS) // 2, np.int32)
         self._thawed: _NodeGrams | None = None
         self._incoming: tuple | None = None
         # The indicator block's weights, one row of floats per slot, and the bias.
@@ -682,26 +688,15 @@ class _FeatureSession:
         node = self._node(focus)
         if self._incoming is None or self._incoming[0] != segment.index:
             # Steps score one incoming segment until an action consumes it.
-            columns, counts, partials, square = self._take(2 * segment.index + 2)
-            # int64 counts, so the cross term below cannot overflow.
-            counts = counts.astype(np.int64)
+            _, _, partials, square = self._take(2 * segment.index + 2)
             slots = _segment_slots(segment.text)
-            self._incoming = (segment.index, columns, counts, partials.tolist(), square, slots)
-        _, columns, counts, partials, square, slots = self._incoming
-        # The node's counts in the segment's columns: s: and q: grams
-        # share a column only where their hashes collide.
-        if node.columns is None:
-            held = self._counts[columns]
-        else:
-            at = np.minimum(np.searchsorted(node.columns, columns), len(node.columns) - 1)
-            held = np.where(node.columns[at] == columns, node.counts[at], 0)
-        cross = int(held @ counts)
+            self._incoming = (segment.index, partials.tolist(), square, slots)
+        _, partials, square, slots = self._incoming
         if node.slots is None:
             node.slots = _focus_slots(focus.kind, focus.content)
         rows = [self._block[slot] for slot in _step_slots(node.slots, slots)]
         partials = list(map(add, node.partials.tolist(), partials))
-        square = node.square + square + 2 * cross
-        return ActionScores(_step_logits(partials, square, rows, self._bias))
+        return ActionScores(_step_logits(partials, node.square + square, rows, self._bias))
 
 
 def _partials(
@@ -761,7 +756,7 @@ def _boundary_grams(tail: str, joiner: str, head: str, seed: int, dim: int) -> d
     hashed with ``zlib.crc32`` as the module docstring says.
     """
     base = zlib.crc32(_FOCUS_NS, seed & 0xFFFFFFFF)
-    buckets = dim - INDICATOR_SLOTS
+    half = (dim - INDICATOR_SLOTS) // 2
     change: dict[int, int] = {}
     # The grams of each text that start before ``hi`` and end after
     # ``lo``: those that overlap text[lo:hi], or span position lo if that
@@ -774,7 +769,7 @@ def _boundary_grams(tail: str, joiner: str, head: str, seed: int, dim: int) -> d
         for n in (1, 2, 3):
             for i in range(max(0, lo - n + 1), min(hi, len(text) - n + 1)):
                 gram = text[i : i + n].encode("utf-8")
-                column = INDICATOR_SLOTS + zlib.crc32(gram, base) % buckets
+                column = INDICATOR_SLOTS + zlib.crc32(gram, base) % half
                 change[column] = change.get(column, 0) + sign
     return change
 
@@ -964,7 +959,7 @@ def train(
     return settled()
 
 
-# Model file container, version 2. All integers little-endian. Layout:
+# Model file container, version 3. All integers little-endian. Layout:
 #   magic    4 bytes  (b"CTXM" action scorer; baseline heads use their own)
 #   version  uint32
 #   dim      uint64
@@ -977,7 +972,7 @@ def train(
 # A file may hold several containers back to back (the two pipeline
 # heads share one file).
 MODEL_MAGIC = b"CTXM"
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 _HEADER = struct.Struct("<4sIQqIQ")
 
 

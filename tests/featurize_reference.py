@@ -38,7 +38,7 @@ from catparse.tree import TERMINAL_PUNCTUATION
 
 
 def _hash_ngrams(
-    text: str, namespace: bytes, seed: int, buckets: int, counts: dict[int, float]
+    text: str, namespace: bytes, seed: int, half: int, offset: int, counts: dict[int, float]
 ) -> None:
     padded = "^" + text + "$"
     data = padded.encode("utf-8")
@@ -52,7 +52,7 @@ def _hash_ngrams(
     for n in (1, 2, 3):
         for start in range(n_chars - n + 1):
             gram = data[offsets[start]:offsets[start + n]]
-            bucket = INDICATOR_SLOTS + zlib.crc32(gram, base) % buckets
+            bucket = INDICATOR_SLOTS + offset + zlib.crc32(gram, base) % half
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
 
 
@@ -102,9 +102,11 @@ def reference_counts(
         else:
             counts[_NEITHER_NUMBERED_SLOT] = 1.0
 
-    buckets = dim - INDICATOR_SLOTS
-    _hash_ngrams(focus, b"s:", hash_seed, buckets, counts)
-    _hash_ngrams(segment, b"q:", hash_seed, buckets, counts)
+    # Focus grams hash into the lower half of the n-gram block, segment
+    # grams into the upper half.
+    half = (dim - INDICATOR_SLOTS) // 2
+    _hash_ngrams(focus, b"s:", hash_seed, half, 0, counts)
+    _hash_ngrams(segment, b"q:", hash_seed, half, half, counts)
     return counts
 
 

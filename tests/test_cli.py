@@ -16,7 +16,7 @@ from catparse.cli import main
 from catparse.engine import decode, oracle_actions, replay_actions
 from catparse.jsonio import read_corpus, read_streams
 from catparse.methods import load_heads
-from catparse.scoring import LinearModel, save_model, write_container
+from catparse.scoring import MODEL_VERSION, LinearModel, save_model, write_container
 from catparse.tree import MAX_DEPTH, NodeKind, flatten, iter_nodes, tree_depth, validate_tree
 
 from .dense_heads import full_head
@@ -815,7 +815,8 @@ def test_lone_surrogate_is_schema_error(tmp_path, capsys):
 
 
 def small_container(
-    magic: bytes, dim: int, classes: int, columns=None, weight=0.0, bias=0.0
+    magic: bytes, dim: int, classes: int, columns=None, weight=0.0, bias=0.0,
+    version=MODEL_VERSION,
 ) -> bytes:
     """A model container whose weights over ``columns`` (by default the
     indicator block, or as much of it as ``dim`` holds) are all
@@ -823,7 +824,7 @@ def small_container(
     that any header, columns and values can be stored."""
     if columns is None:
         columns = range(min(dim, 64))
-    header = struct.pack("<4sIQqIQ", magic, 2, dim, 0, classes, len(columns))
+    header = struct.pack("<4sIQqIQ", magic, version, dim, 0, classes, len(columns))
     values = [weight] * (classes * len(columns)) + [bias] * classes
     return header + struct.pack(f"<{len(columns)}Q{len(values)}d", *columns, *values)
 
@@ -859,7 +860,7 @@ def small_container(
         # 100 bytes whose header claims 2**50 columns
         (
             "transition",
-            struct.pack("<4sIQqIQ", b"CTXM", 2, 1 << 18, 0, 4, 2**50) + bytes(64),
+            struct.pack("<4sIQqIQ", b"CTXM", MODEL_VERSION, 1 << 18, 0, 4, 2**50) + bytes(64),
             "claims",
         ),
         ("transition", small_container(b"CTXM", 128, 4)[:-8], "claims"),
@@ -877,6 +878,8 @@ def small_container(
             struct.pack("<4sIQqI", b"CTXM", 1, 128, 0, 4) + bytes(8 * (4 * 128 + 4)),
             "version 1",
         ),
+        # columns hashed before the focus and segment halves split the n-gram block
+        ("transition", small_container(b"CTXM", 128, 4, version=2), "version 2"),
         ("transition", small_container(b"CTXM", 128, 4, weight=math.nan), "not all finite"),
         ("transition", small_container(b"CTXM", 128, 4, bias=math.inf), "not all finite"),
     ],
@@ -884,7 +887,8 @@ def small_container(
         "three-classes", "dim-64", "pipeline-dim-64", "merge-3", "level-1",
         "level-past-bound", "tagging-odd", "tagging-2", "tagging-past-bound", "lying-header",
         "short-payload", "unsorted-columns", "duplicate-column", "column-past-dim",
-        "missing-indicator", "dim-past-bound", "version-1", "nan-weight", "inf-bias",
+        "missing-indicator", "dim-past-bound", "version-1", "version-2", "nan-weight",
+        "inf-bias",
     ],
 )
 def test_invalid_model_file_exits_1(workspace, capsys, method, content, message):

@@ -99,18 +99,19 @@ SEEDS = st.one_of(
     st.integers(-(2**63), -1), st.integers(0, 2**32 - 1), st.integers(2**32, 2**63 - 1)
 )
 
-# featurize over these inputs hashed to this digest before the n-gram
-# loop was vectorized; a change that moves the kernel and the reference
+# featurize over these inputs, focus and segment grams in their own
+# halves of the n-gram block, hashes to this digest, as the per-gram
+# reference loop does; a change that moves the kernel and the reference
 # together shows here.
 PINNED_INPUTS = [
     (NodeKind.ROOT, "", "1. Introduction", 0, 1 << 18),
     (NodeKind.HEADING, "第一章 总则", "第一节 目的", 7, 1 << 18),
-    (NodeKind.TEXT, "The balance", "was 474 billion yuan.", -3, 65),
+    (NodeKind.TEXT, "The balance", "was 474 billion yuan.", -3, 66),
     (NodeKind.TEXT, "e\u0301e\u0301 \U0001F600x", "\U00020000。", 2**32 + 5, 1000),
     (NodeKind.HEADING, "2.1 概述" * 40, "2.1.1 细节", 123456789, 1 << 20),
     (NodeKind.TEXT, "", "a", 1, 66),
 ]
-PINNED_SHA256 = "3e5d8d1d6f2cb47b4a7c19e4e9dd821eaa1db8c37e19829bd60f1b5ac8f02a26"
+PINNED_SHA256 = "7758483ef97c06fa6cc5637ff04ad38dfd576638c1140101c3408e13f0d435ab"
 
 
 class TestHashKernel:
@@ -119,9 +120,9 @@ class TestHashKernel:
         st.text(CHARS, max_size=40),
         st.text(CHARS, min_size=1, max_size=40),
         SEEDS,
-        st.sampled_from([65, 1000, 1 << 18, 1 << 20]),
+        st.sampled_from([66, 67, 1000, 1 << 18, 1 << 20]),
     )
-    @example(NodeKind.ROOT, "", "x", 0, 65)
+    @example(NodeKind.ROOT, "", "x", 0, 66)
     @example(NodeKind.TEXT, "\U0001F600e\u0301", "\U00020000", -1, 1 << 20)
     @example(NodeKind.HEADING, "第一章", "。", 2**32, 1000)
     @settings(max_examples=300, deadline=None)
@@ -161,14 +162,14 @@ class TestHashManyRows:
     @given(
         st.lists(INPUTS, max_size=12),
         SEEDS,
-        st.sampled_from([65, 1000, 1 << 18, 1 << 20]),
+        st.sampled_from([66, 67, 1000, 1 << 18, 1 << 20]),
         st.sampled_from([1, 7, 60, scoring.HASH_CHUNK_CHARS]),
     )
-    @example(rows(("", "x")), 0, 65, 1)
+    @example(rows(("", "x")), 0, 66, 1)
     # rows that share every gram: a key that let one row's columns run into
     # the next row's range would merge their counts
-    @example(rows(("ab", "ab"), ("ab", "ab"), ("", "ab")), 3, 65, scoring.HASH_CHUNK_CHARS)
-    @example(rows(("", "a"), ("b", "c"), ("", "d")), 1, 66, scoring.HASH_CHUNK_CHARS)
+    @example(rows(("ab", "ab"), ("ab", "ab"), ("", "ab")), 3, 66, scoring.HASH_CHUNK_CHARS)
+    @example(rows(("", "a"), ("b", "c"), ("", "d")), 1, 67, scoring.HASH_CHUNK_CHARS)
     @example(rows(("$^", "^$"), ("a$", "^b"), ("$", "$^$")), 7, 1000, 7)
     @example(rows(("\U0001F600", "\U00020000x"), ("e\u0301", "\U0001F600")), -1, 1 << 20, 3)
     @example([ScoringInput(kind, "1.", "2.1 x") for kind in NodeKind], 2**32, 1 << 18, 5)
@@ -202,9 +203,11 @@ class TestScore:
         assert model.score_input(example).logits == tuple(expected)
 
     def test_dimension_must_exceed_indicator_block(self):
-        with pytest.raises(ValueError, match="indicator block"):
-            LinearModel.create(dim=INDICATOR_SLOTS)
-        assert LinearModel.create(dim=INDICATOR_SLOTS + 1).dim == INDICATOR_SLOTS + 1
+        # Focus and segment grams each need a column of their own.
+        for dim in (INDICATOR_SLOTS, INDICATOR_SLOTS + 1):
+            with pytest.raises(ValueError, match="indicator block by 2"):
+                LinearModel.create(dim=dim)
+        assert LinearModel.create(dim=INDICATOR_SLOTS + 2).dim == INDICATOR_SLOTS + 2
 
     def test_zero_model_is_uniform(self):
         model = LinearModel.create(dim=SMALL_DIM)
@@ -289,7 +292,7 @@ def test_trained_model_opens_numbered_heading_at_root():
 
 class TestCompactHead:
     @given(
-        dim=st.integers(INDICATOR_SLOTS + 1, 600),
+        dim=st.integers(INDICATOR_SLOTS + 2, 600),
         classes=st.integers(1, 6),
         data=st.data(),
     )
@@ -391,9 +394,9 @@ class TestTrain:
 
 
 # train over oracle_inputs (class weighting, batch 7, 3 epochs, seed 11,
-# dim 2**14) gave these weight and bias bytes before training moved to
-# the compact column space.
-PINNED_TRAIN_SHA256 = "3f28acd3bff959f78fd1675827247c45556dc44dcbdf805e1cd6923a615f6962"
+# dim 2**14) gives these weight and bias bytes, as the dense reference
+# trainer over the per-gram reference features does.
+PINNED_TRAIN_SHA256 = "4818beb186f21d14edc021d53c3ce55fa106b6d34847aa50b336c0f8ef4f77b9"
 
 
 def snapshot(model):
@@ -417,7 +420,7 @@ class TestTrainMatchesDenseReference:
         config = TrainConfig(epochs=2, batch_size=batch_size, seed=3, class_weighting=weighting)
         assert_trains_like_reference(relabelled(oracle_inputs[:60], classes), config, classes, dim)
 
-    @pytest.mark.parametrize("dim", [INDICATOR_SLOTS + 1, SMALL_DIM, DEFAULT_DIM])
+    @pytest.mark.parametrize("dim", [INDICATOR_SLOTS + 2, SMALL_DIM, DEFAULT_DIM])
     def test_one_example(self, oracle_inputs, dim):
         config = TrainConfig(epochs=3, seed=1, class_weighting=True)
         assert_trains_like_reference(relabelled(oracle_inputs[:1], 9), config, 9, dim)

@@ -102,7 +102,7 @@ def traced_decode(segments, scorer, constrained, joiner, script):
     st.sampled_from(["", " ", "\n"]),
     st.booleans(),
     SEEDS,
-    st.sampled_from([65, 66, 1000, 1 << 18]),
+    st.sampled_from([66, 67, 1000, 1 << 18]),
     st.integers(0, 2**32 - 1),
     st.sampled_from([0.0, 3.0, 8.0]),
     SCRIPTS,
@@ -117,11 +117,13 @@ def traced_decode(segments, scorer, constrained, joiner, script):
 # the focus climbs back and the heading grows again; its first concat
 # makes its content a numbering that its first piece was not
 @example(
-    ["第1", "章", "a", "b", "1"], "", False, 0, 65, 0, 0.0,
+    ["第1", "章", "a", "b", "1"], "", False, 0, 66, 0, 0.0,
     [Action.SUB_HEADING, Action.CONCAT, Action.SUB_TEXT, Action.CONCAT, Action.REDUCE,
      Action.CONCAT],
 )
-@example(["a", "^", "$", "b"], " ", True, -1, 65, 1, 8.0, [Action.SUB_TEXT, Action.CONCAT])
+# one column per namespace: every gram collides with every other of its
+# namespace, and none with the other's
+@example(["a", "^", "$", "b"], " ", True, -1, 66, 1, 8.0, [Action.SUB_TEXT, Action.CONCAT])
 @example(["\U0001F600", "\u0301", "\u00e9\u4e2d"], "\n", True, 2**32, 1 << 18, 2, 8.0, None)
 @settings(max_examples=150, deadline=timedelta(seconds=5))
 def test_session_scores_match_featurize_at_every_step(
@@ -208,7 +210,7 @@ def test_step_logits_equal_the_numpy_reference_on_generated_documents(joiner):
     docs = generate_corpus(GenConfig(doc_count=6, seed=4))
     streams, _ = chunk_corpus(docs, ChunkConfig(seed=4), joiner)
     for k, stream in enumerate(streams):
-        model = dense_random_head(1 << 12, k, k, 1.0)
+        model = dense_random_head(1 << 12, k, k, 1.5)
         trace = assert_steps_match_the_reference(stream.segments, model, joiner)
         assert any(step.action is Action.CONCAT for step in trace.steps)
 

@@ -8,8 +8,11 @@
 # methods for 2 epochs, and transition once more with class weights and
 # --lr 0.02, as the benchmark's longdoc inputs are trained; predicts the
 # test fold with each model (transition also with --unconstrained and with
-# --jobs 2); and evaluates the three methods' predictions. Every output
-# but the manifests is compared with `cmp`, and each train manifest's
+# --jobs 2); and evaluates the three methods' predictions. Each side's
+# --jobs 2 predictions are compared with `cmp` against its own --jobs 1
+# ones, so `tools/same_bytes.sh HEAD` checks that much of a change that
+# alters outputs on purpose. Every output but the manifests is then
+# compared with its twin from REV with `cmp`, and each train manifest's
 # "extra" record (dev F1 per epoch, best epoch) with its twin. Exits 0
 # when all agree, 1 naming the first difference, 2 when a command fails.
 set -euo pipefail
@@ -61,6 +64,10 @@ run_side() {  # run_side SRC OUT SEED
         --scorer "linear:$out/model_transition.bin" --out "$out/pred_unconstrained.jsonl"
     catparse predict --jobs 2 --segments "$out/segs_test.jsonl" \
         --scorer "linear:$out/model_transition.bin" --out "$out/pred_jobs2.jsonl"
+    if ! cmp -s "$out/pred_jobs2.jsonl" "$out/pred_transition.jsonl"; then
+        echo "same_bytes: --jobs 2 predicts other bytes than --jobs 1 under $src at seed $seed" >&2
+        exit 1
+    fi
     catparse train --method transition --epochs 2 --seed "$seed" --class-weights --lr 0.02 \
         --train "$out/gold_train.jsonl" --train-segments "$out/segs_train.jsonl" \
         --dev "$out/gold_dev.jsonl" --dev-segments "$out/segs_dev.jsonl" \
