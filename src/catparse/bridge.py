@@ -121,7 +121,8 @@ class ScorerBridge(ActionScorer):
             raise BridgeProtocol(f"response is not JSON: {exc}") from None
         if not isinstance(response, dict):
             raise BridgeProtocol("response must be a JSON object")
-        if response.get("id") != request_id:
+        # True == 1, so a boolean id would pass the comparison alone.
+        if isinstance(response.get("id"), bool) or response.get("id") != request_id:
             raise BridgeProtocol(
                 f"response id {response.get('id')!r} does not match request {request_id}"
             )

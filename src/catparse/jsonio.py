@@ -188,10 +188,6 @@ def stream_from_obj(obj: Any, path: str = "$", joiner: str = "") -> SegmentStrea
     return SegmentStream(doc_id=doc_id, segments=segments)
 
 
-def _dump_line(obj: Any) -> str:
-    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"))
-
-
 def _read_jsonl(path: str | Path) -> Iterable[tuple[int, Any]]:
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -210,10 +206,15 @@ def read_corpus(path: str | Path) -> list[Document]:
     return [document_from_obj(obj, f"{path}:{n}") for n, obj in _read_jsonl(path)]
 
 
-def write_corpus(path: str | Path, docs: Iterable[Document]) -> None:
+def _write_jsonl(path: str | Path, objs: Iterable[Any]) -> None:
+    """Write ``objs`` one compact JSON value per line."""
     with open(path, "w", encoding="utf-8") as handle:
-        for doc in docs:
-            handle.write(_dump_line(document_to_obj(doc)) + "\n")
+        for obj in objs:
+            handle.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+
+
+def write_corpus(path: str | Path, docs: Iterable[Document]) -> None:
+    _write_jsonl(path, map(document_to_obj, docs))
 
 
 def read_streams(path: str | Path, joiner: str = "") -> list[SegmentStream]:
@@ -223,9 +224,7 @@ def read_streams(path: str | Path, joiner: str = "") -> list[SegmentStream]:
 
 
 def write_streams(path: str | Path, streams: Iterable[SegmentStream]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for stream in streams:
-            handle.write(_dump_line(stream_to_obj(stream)) + "\n")
+    _write_jsonl(path, map(stream_to_obj, streams))
 
 
 def write_action_dump(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
@@ -234,9 +233,7 @@ def write_action_dump(path: str | Path, rows: Iterable[dict[str, Any]]) -> None:
     Rows carry ``doc_id``, ``step``, ``s_kind``, ``s_content``,
     ``q_content`` and ``gold_action``.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(_dump_line(row) + "\n")
+    _write_jsonl(path, rows)
 
 
 def write_json(path: str | Path, obj: Any) -> None:

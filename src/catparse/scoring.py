@@ -4,11 +4,14 @@ scorer interface the decoder consumes.
 The built-in backend hashes character n-grams of the focus node's content
 and the incoming segment into a fixed-dimension vector, adds a small block
 of dense indicator features, and scores actions with a linear layer
-followed by a softmax. Each 1-, 2- or 3-gram ``g`` of ``^focus$``
-(namespace ``ns = b"s:"``, ``k = 0``) and of ``^segment$`` (``ns =
-b"q:"``, ``k = 1``) counts once in feature
-``INDICATOR_SLOTS + k * half + zlib.crc32(g_utf8, zlib.crc32(ns, seed & 0xFFFFFFFF)) % half``
-with ``half = (dim - INDICATOR_SLOTS) // 2``: focus grams fill the lower
+followed by a softmax. A 1-, 2- or 3-gram ``g`` of code points ``c_1 ..
+c_n`` has the key ``Σ_i (ord(c_i) + 1) << 21 * (i - 1)``, below 2**63;
+grams of different lengths never share a key, as no field is 0. Each
+gram of ``^focus$`` (``k = 0``, the ``s:`` grams) and of ``^segment$``
+(``k = 1``, the ``q:`` grams) counts once in feature
+``INDICATOR_SLOTS + k * half + h % half`` with
+``h = ((key ^ (seed & 0xFFFFFFFF)) * 0x9E3779B97F4A7C15 % 2**64) >> 32``
+and ``half = (dim - INDICATOR_SLOTS) // 2``: focus grams fill the lower
 half of the n-gram block and segment grams the upper half (the last
 feature of an odd block stays unused). The n-gram counts are
 L2-normalized; external scorers can rebuild the features from this
@@ -39,7 +42,6 @@ import math
 import os
 import re
 import struct
-import zlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from functools import reduce
@@ -235,62 +237,70 @@ def _numbering_hits(text: str) -> tuple[list[int], int]:
     return hits, depth
 
 
-def _crc32_table() -> np.ndarray:
-    """The 256-entry table of the reflected CRC-32 polynomial ``zlib`` uses."""
-    table = np.arange(256, dtype=np.uint32)
-    for _ in range(8):
-        table = np.where(table & 1, (table >> 1) ^ np.uint32(0xEDB88320), table >> 1)
-    return table
-
-
-_CRC32_TABLE = _crc32_table()
-
-
 # About this many characters go through one kernel call; a bigger chunk
 # holds more per-character arrays at once and runs no faster.
 HASH_CHUNK_CHARS = 50_000
 # Decode hashes a document's texts as it reaches them, in chunks whose
 # per-character arrays take no more than featurize's did for one long
-# focus; each call costs about 0.2 ms more than its characters.
+# focus; each call costs about 0.05 ms more than its characters.
 DECODE_CHUNK_CHARS = 2_000
-# The hash namespaces of the focus text and of the segment text.
-_FOCUS_NS = b"s:"
-_SEGMENT_NS = b"q:"
+# Fibonacci hashing's multiplier: 2**64 over the golden ratio, made odd.
+_MULTIPLIER = 0x9E3779B97F4A7C15
+
+
+def _mix(key: int | np.ndarray, seed: int) -> int | np.ndarray:
+    """The hash of one gram key, or of each key of a uint64 array, in
+    place: the key XOR the seed's low 32 bits, times ``_MULTIPLIER``
+    modulo 2**64, its high 32 bits."""
+    key ^= seed & 0xFFFFFFFF
+    key *= _MULTIPLIER
+    key &= 0xFFFFFFFFFFFFFFFF
+    key >>= 32
+    return key
+
+
+def _gram_hashes(text: str, spans: list[tuple[int, int]], seed: int) -> np.ndarray:
+    """The hash of every 1-, 2- and 3-gram of ``text`` that lies inside
+    one of ``spans``: all 1-grams span by span, then the 2-grams, then the
+    3-grams. Each span's grams are taken as a slice, so grams that run
+    from one span into the next are dropped."""
+    codes = np.frombuffer(text.encode("utf-32-le"), np.uint32).astype(np.uint64)
+    codes += 1
+    # The keys of the grams starting at each character, by length.
+    pairs = codes[:-1] | codes[1:] << 21
+    grams = [codes, pairs, pairs[:-1] | codes[2:] << 42]
+    # Grams starting in a span's last n characters run into the next.
+    keys = np.concatenate([grams[n][start : end - n] for n in range(3) for start, end in spans])
+    return _mix(keys, seed).view(np.int64)
 
 
 def _hash_ngrams(
-    rows: Sequence[Sequence[tuple[bytes, str]]], seed: int, dim: int
+    rows: Sequence[Sequence[tuple[int, str]]], seed: int, dim: int
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Sorted n-gram features of each row's texts with their counts, for
-    many rows at once. A row is a sequence of (namespace, text) pairs;
-    every gram of each padded ``^text$`` counts once in the column the
-    module docstring's formula gives under that namespace.
+    many rows at once. A row is a sequence of (k, text) pairs; every gram
+    of each padded ``^text$`` counts once in the column the module
+    docstring's formula gives for half ``k``.
 
     Returns the columns and counts of all rows back to back, row by row,
     and the offset where each row's run ends. All padded texts are joined
-    and hashed in one pass (``_gram_crcs``). One ``np.unique`` keyed by
-    ``(2 * row + k) * half + crc % half`` then counts each row's columns
+    and hashed in one pass (``_gram_hashes``). One ``np.unique`` keyed by
+    ``(2 * row + k) * half + hash % half`` then counts each row's columns
     apart from its neighbours'.
     """
     half = (dim - INDICATOR_SLOTS) // 2
     texts = [pair for row in rows for pair in row]
     lengths = [len(piece) + 2 for _, piece in texts]
     ends = list(accumulate(lengths))
-    # A CRC-32 register holds the complement of the running value; each
-    # text's registers start from its namespace.
-    namespaces = {ns for ns, _ in texts}
-    start_of = {ns: zlib.crc32(ns, seed & 0xFFFFFFFF) ^ 0xFFFFFFFF for ns in namespaces}
-    buckets_of = _gram_crcs(
-        "".join(["^" + piece + "$" for _, piece in texts]),
-        np.repeat(np.array([start_of[ns] for ns, _ in texts], np.uint32), lengths),
-        list(zip([0] + ends, ends)),
+    buckets_of = _gram_hashes(
+        "".join(["^" + piece + "$" for _, piece in texts]), list(zip([0] + ends, ends)), seed
     )
     buckets_of %= half
     # A padded text of L characters has L - n grams of n + 1 characters.
     per_text = [length - n for n in range(3) for length in lengths]
     # Each row spans two halves of keys; a segment text hashes into its upper one.
     text_half = np.repeat(2 * np.arange(len(rows)), [len(row) for row in rows])
-    text_half += [ns == _SEGMENT_NS for ns, _ in texts]
+    text_half += [k for k, _ in texts]
     keys = np.repeat(np.tile(text_half, 3), per_text)
     keys *= half
     keys += buckets_of
@@ -299,50 +309,13 @@ def _hash_ngrams(
     return INDICATOR_SLOTS + keys % (2 * half), counts, row_ends
 
 
-def _gram_crcs(text: str, register: np.ndarray, spans: list[tuple[int, int]]) -> np.ndarray:
-    """The ``zlib.crc32`` of every 1-, 2- and 3-gram of ``text`` that lies
-    inside one of ``spans``: all 1-grams span by span, then the 2-grams,
-    then the 3-grams. ``register[i]`` holds the complemented running value
-    the grams starting at character i start from.
-
-    A table-driven CRC-32 pass, equal to ``zlib.crc32`` bit for bit: one
-    register per starting character absorbs the bytes of that character,
-    then of the next two, and is read out after each, which gives all
-    three gram lengths at once. Each span's grams are taken as a slice, so
-    grams that run from one span into the next are dropped.
-    """
-    # Four NUL bytes after the text: the first marks the end of the last
-    # character, all four keep byte reads of a 4-byte character in range.
-    data = np.frombuffer((text + "\0\0\0\0").encode("utf-8"), np.uint8)
-    bounds = np.flatnonzero((data[:-3] & 0xC0) != 0x80)
-    starts, widths = bounds[:-1], bounds[1:] - bounds[:-1]
-    width = int(widths.max())
-    data = data.astype(np.uint32)
-    # columns[k][c]: byte k of character c (a later character's byte, or
-    # NUL, where c is shorter; masked out below).
-    columns = [data[starts + k] for k in range(width)]
-    # wider[k][c]: character c has a byte k (every character has byte 0).
-    wider = [None] + [widths > k for k in range(1, width)]
-    grams = []
-    for n in range(3):
-        # The register of the gram starting at character i absorbs character i+n.
-        register = register[: len(text) - n]
-        for k in range(width):
-            update = _CRC32_TABLE[(register ^ columns[k][n:]) & 0xFF] ^ (register >> 8)
-            register = update if k == 0 else np.where(wider[k][n:], update, register)
-        # Grams starting in a span's last n characters run into the next.
-        for start, end in spans:
-            grams.append(register[start : end - n])
-    return ~np.concatenate(grams)
-
-
 def _hash_chunks(
-    rows: Iterable[Sequence[tuple[bytes, str]]], seed: int, dim: int, chunk_chars: int
+    rows: Iterable[Sequence[tuple[int, str]]], seed: int, dim: int, chunk_chars: int
 ):
     """``_hash_ngrams`` over ``rows``, one kernel call per ``chunk_chars``
     characters: yields the number of rows in each chunk with the kernel's
     output for them. Only one chunk's rows are held at a time."""
-    chunk: list[Sequence[tuple[bytes, str]]] = []
+    chunk: list[Sequence[tuple[int, str]]] = []
     chars = 0
     for row in rows:
         chunk.append(row)
@@ -423,12 +396,12 @@ def featurize(
     """Hash one scoring input into a sparse (indices, values) pair of
     feature dimension ``dim``.
 
-    Character 1- to 3-grams of the focus and segment texts live in
-    disjoint halves of the n-gram block (formula in the module
-    docstring), and the dense indicator block occupies its own reserved
-    index range, so no two of the three ever share a feature. The n-gram
-    block is L2-normalized so the indicators keep a stable share of the
-    margin.
+    Character 1- to 3-grams of the focus and segment texts, each keyed
+    by its code points and hashed with one multiply (formula in the
+    module docstring), live in disjoint halves of the n-gram block, and
+    the dense indicator block occupies its own reserved index range, so
+    no two of the three ever share a feature. The n-gram block is
+    L2-normalized so the indicators keep a stable share of the margin.
     Deterministic for a fixed hash seed.
     """
     return featurize_many([inp], hash_seed, dim)[0]
@@ -440,7 +413,7 @@ def featurize_many(
     """``featurize`` of each input, from one kernel call per
     ``HASH_CHUNK_CHARS`` characters."""
     out: list[tuple[np.ndarray, np.ndarray]] = []
-    rows = (((_FOCUS_NS, x.focus_text), (_SEGMENT_NS, x.segment_text)) for x in inputs)
+    rows = (((0, x.focus_text), (1, x.segment_text)) for x in inputs)
     for count, grams, counts, ends in _hash_chunks(rows, hash_seed, dim, HASH_CHUNK_CHARS):
         values = counts.astype(np.float64)
         row_of = np.repeat(np.arange(count), np.diff(ends, prepend=0))
@@ -556,8 +529,8 @@ class _FeatureSession:
 
     The kernel hashes the texts in stream order, one chunk of
     ``DECODE_CHUNK_CHARS`` characters at a time as the decode reaches
-    them: the root's content ``^$`` under ``s:``, then each segment's
-    ``^text$`` under ``s:`` and under ``q:``. The same pass takes each
+    them: the root's content ``^$`` as ``s:`` grams, then each segment's
+    ``^text$`` as ``s:`` and as ``q:`` grams. The same pass takes each
     row's partial logits and its sum of squared counts. A node keeps
     those of its content, with its ``s:`` counts, keyed by the index of
     the segment that opened it. A ``concat`` adds the piece's partials
@@ -592,11 +565,8 @@ class _FeatureSession:
         self._segments = segments
         self._joiner = joiner
         # Row 0 is the root's content; rows 2i + 1 and 2i + 2 are segment
-        # i's text under s: and under q:.
-        rows = chain(
-            [((_FOCUS_NS, ""),)],
-            (((ns, segment.text),) for segment in segments for ns in (_FOCUS_NS, _SEGMENT_NS)),
-        )
+        # i's text in the s: half and in the q: half.
+        rows = chain([((0, ""),)], (((k, segment.text),) for segment in segments for k in (0, 1)))
         self._chunks = _hash_chunks(rows, model.hash_seed, model.dim, DECODE_CHUNK_CHARS)
         self._hashed: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
         self._rows = 0
@@ -752,10 +722,10 @@ def _boundary_grams(tail: str, joiner: str, head: str, seed: int, dim: int) -> d
     first two of ``B$``. The grams of ``^A + joiner + B$`` are those of
     ``^A$`` and of ``^B$`` less the three that hold A's closing ``$`` and
     the three that hold B's opening ``^``, plus those that lie in neither
-    ``^A`` nor ``B$``, which all lie in ``tail + joiner + head``. Each is
-    hashed with ``zlib.crc32`` as the module docstring says.
+    ``^A`` nor ``B$``, which all lie in ``tail + joiner + head``. Each
+    gram's key is built from its code points and hashed with ``_mix``, as
+    the kernel's are.
     """
-    base = zlib.crc32(_FOCUS_NS, seed & 0xFFFFFFFF)
     half = (dim - INDICATOR_SLOTS) // 2
     change: dict[int, int] = {}
     # The grams of each text that start before ``hi`` and end after
@@ -766,10 +736,11 @@ def _boundary_grams(tail: str, joiner: str, head: str, seed: int, dim: int) -> d
         (tail + "$", len(tail), len(tail) + 1, -1),
         ("^" + head, 0, 1, -1),
     ):
-        for n in (1, 2, 3):
-            for i in range(max(0, lo - n + 1), min(hi, len(text) - n + 1)):
-                gram = text[i : i + n].encode("utf-8")
-                column = INDICATOR_SLOTS + zlib.crc32(gram, base) % half
+        codes = [ord(c) + 1 for c in text]
+        pairs = [a | b << 21 for a, b in zip(codes, codes[1:])]
+        for n, keys in enumerate([codes, pairs, [p | c << 42 for p, c in zip(pairs, codes[2:])]]):
+            for key in keys[max(0, lo - n) : hi]:
+                column = INDICATOR_SLOTS + _mix(key, seed) % half
                 change[column] = change.get(column, 0) + sign
     return change
 
@@ -959,7 +930,7 @@ def train(
     return settled()
 
 
-# Model file container, version 3. All integers little-endian. Layout:
+# Model file container, version 4. All integers little-endian. Layout:
 #   magic    4 bytes  (b"CTXM" action scorer; baseline heads use their own)
 #   version  uint32
 #   dim      uint64
@@ -972,7 +943,7 @@ def train(
 # A file may hold several containers back to back (the two pipeline
 # heads share one file).
 MODEL_MAGIC = b"CTXM"
-MODEL_VERSION = 3
+MODEL_VERSION = 4
 _HEADER = struct.Struct("<4sIQqIQ")
 
 

@@ -1,12 +1,10 @@
-"""Reference featurizer: the per-gram ``zlib.crc32`` loop that
+"""Reference featurizer: the per-gram loop, in Python integers, that
 ``scoring.featurize`` replaced with a vectorized kernel.
 
 Kept as the definition the kernel must reproduce exactly (indices,
 values and dtypes); ``test_scoring`` compares the two.
 """
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 
@@ -38,21 +36,14 @@ from catparse.tree import TERMINAL_PUNCTUATION
 
 
 def _hash_ngrams(
-    text: str, namespace: bytes, seed: int, half: int, offset: int, counts: dict[int, float]
+    text: str, seed: int, half: int, offset: int, counts: dict[int, float]
 ) -> None:
     padded = "^" + text + "$"
-    data = padded.encode("utf-8")
-    # Precompute byte offsets per character so slicing stays cheap for
-    # multi-byte scripts.
-    offsets = [0]
-    for ch in padded:
-        offsets.append(offsets[-1] + len(ch.encode("utf-8")))
-    base = zlib.crc32(namespace, seed & 0xFFFFFFFF)
-    n_chars = len(padded)
     for n in (1, 2, 3):
-        for start in range(n_chars - n + 1):
-            gram = data[offsets[start]:offsets[start + n]]
-            bucket = INDICATOR_SLOTS + offset + zlib.crc32(gram, base) % half
+        for start in range(len(padded) - n + 1):
+            key = sum((ord(c) + 1) << 21 * i for i, c in enumerate(padded[start : start + n]))
+            mixed = ((key ^ (seed & 0xFFFFFFFF)) * 0x9E3779B97F4A7C15) % 2**64 >> 32
+            bucket = INDICATOR_SLOTS + offset + mixed % half
             counts[bucket] = counts.get(bucket, 0.0) + 1.0
 
 
@@ -105,8 +96,8 @@ def reference_counts(
     # Focus grams hash into the lower half of the n-gram block, segment
     # grams into the upper half.
     half = (dim - INDICATOR_SLOTS) // 2
-    _hash_ngrams(focus, b"s:", hash_seed, half, 0, counts)
-    _hash_ngrams(segment, b"q:", hash_seed, half, half, counts)
+    _hash_ngrams(focus, hash_seed, half, 0, counts)
+    _hash_ngrams(segment, hash_seed, half, half, counts)
     return counts
 
 

@@ -41,6 +41,15 @@ for line in sys.stdin:
     print(json.dumps({"id": req["id"] + 1000, "logits": [0.0, 0.0, 0.0, 0.0]}), flush=True)
 """
 
+# Answers request 1 with the id true, which equals 1.
+TRUE_ID = """
+import json, sys
+for line in sys.stdin:
+    req = json.loads(line)
+    answer = True if req["id"] == 1 else req["id"]
+    print(json.dumps({"id": answer, "logits": [0.0, 0.0, 0.0, 0.0]}), flush=True)
+"""
+
 NOT_JSON = """
 import sys
 for line in sys.stdin:
@@ -119,6 +128,13 @@ def test_three_logits_is_protocol_error():
 
 def test_id_mismatch_is_protocol_error():
     with ScorerBridge(bridge_program(WRONG_ID)) as bridge:
+        with pytest.raises(BridgeProtocol):
+            bridge.score_raw("root", "", "q")
+
+
+def test_boolean_id_is_protocol_error():
+    with ScorerBridge(bridge_program(TRUE_ID)) as bridge:
+        bridge.score_raw("root", "", "q")
         with pytest.raises(BridgeProtocol):
             bridge.score_raw("root", "", "q")
 

@@ -240,8 +240,14 @@ def test_bridge_child_is_closed_after_predict(workspace):
 
 @pytest.mark.parametrize(
     "program",
-    [None, "import sys\nfor line in sys.stdin:\n    print('not json', flush=True)\n"],
-    ids=["unlaunchable", "not-json"],
+    [
+        None,
+        "import sys\nfor line in sys.stdin:\n    print('not json', flush=True)\n",
+        # answers request 1 with the id true, which equals 1
+        "import json, sys\nfor line in sys.stdin:\n    i = json.loads(line)['id']\n"
+        "    print(json.dumps({'id': i == 1 or i, 'logits': [0, 0, 0, 0]}), flush=True)\n",
+    ],
+    ids=["unlaunchable", "not-json", "true-id"],
 )
 def test_bridge_failure_exits_1(workspace, capsys, program):
     command = "/nonexistent/scorer"
@@ -880,6 +886,8 @@ def small_container(
         ),
         # columns hashed before the focus and segment halves split the n-gram block
         ("transition", small_container(b"CTXM", 128, 4, version=2), "version 2"),
+        # grams hashed with CRC-32
+        ("transition", small_container(b"CTXM", 128, 4, version=3), "version 3"),
         ("transition", small_container(b"CTXM", 128, 4, weight=math.nan), "not all finite"),
         ("transition", small_container(b"CTXM", 128, 4, bias=math.inf), "not all finite"),
     ],
@@ -887,8 +895,8 @@ def small_container(
         "three-classes", "dim-64", "pipeline-dim-64", "merge-3", "level-1",
         "level-past-bound", "tagging-odd", "tagging-2", "tagging-past-bound", "lying-header",
         "short-payload", "unsorted-columns", "duplicate-column", "column-past-dim",
-        "missing-indicator", "dim-past-bound", "version-1", "version-2", "nan-weight",
-        "inf-bias",
+        "missing-indicator", "dim-past-bound", "version-1", "version-2", "version-3",
+        "nan-weight", "inf-bias",
     ],
 )
 def test_invalid_model_file_exits_1(workspace, capsys, method, content, message):

@@ -8,13 +8,17 @@
 # methods for 2 epochs, and transition once more with class weights and
 # --lr 0.02, as the benchmark's longdoc inputs are trained; predicts the
 # test fold with each model (transition also with --unconstrained and with
-# --jobs 2); and evaluates the three methods' predictions. Each side's
-# --jobs 2 predictions are compared with `cmp` against its own --jobs 1
-# ones, so `tools/same_bytes.sh HEAD` checks that much of a change that
-# alters outputs on purpose. Every output but the manifests is then
-# compared with its twin from REV with `cmp`, and each train manifest's
-# "extra" record (dev F1 per epoch, best epoch) with its twin. Exits 0
-# when all agree, 1 naming the first difference, 2 when a command fails.
+# --jobs 2); and evaluates the predictions of the three methods and of the
+# class-weighted transition model. Each side's --jobs 2 predictions are
+# compared with `cmp` against its own --jobs 1 ones, so
+# `tools/same_bytes.sh HEAD` checks that much of a change that alters
+# outputs on purpose. A table of each method's test-fold overall F1, REV's
+# next to the working tree's, is printed per seed; a change that alters
+# outputs on purpose reports its F1 with it. Every output but the
+# manifests is then compared with its twin from REV with `cmp`, and each
+# train manifest's "extra" record (dev F1 per epoch, best epoch) with its
+# twin. Exits 0 when all agree, 1 naming the first difference, 2 when a
+# command fails.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
@@ -74,6 +78,8 @@ run_side() {  # run_side SRC OUT SEED
         --model-out "$out/model_weighted.bin"
     catparse predict --segments "$out/segs_test.jsonl" \
         --scorer "linear:$out/model_weighted.bin" --out "$out/pred_weighted.jsonl"
+    catparse evaluate --gold "$out/gold_test.jsonl" --pred "$out/pred_weighted.jsonl" \
+        --out "$out/report_weighted.json"
 }
 
 differ() {
@@ -84,6 +90,11 @@ differ() {
 for seed in "$@"; do
     run_side "$work/base/src" "$work/base-$seed" "$seed"
     run_side "$root/src" "$work/head-$seed" "$seed"
+    echo "seed $seed: test-fold overall F1, $rev → working tree"
+    python3 -c 'import json, sys
+for method in ("transition", "pipeline", "tagging", "weighted"):
+    a, b = (json.load(open(f"{d}/report_{method}.json"))["overall"]["f1"] for d in sys.argv[1:])
+    print(f"  {method}: {a:.4f} → {b:.4f}")' "$work/base-$seed" "$work/head-$seed"
     diff -q <(ls "$work/base-$seed") <(ls "$work/head-$seed") >/dev/null || differ "the file list"
     for file in "$work/base-$seed"/*; do
         name=${file##*/}
