@@ -168,13 +168,13 @@ def cmd_generate(args):
 
 def cmd_chunk(args):
     joiner = JOINERS[args.joiner]
-    docs = jsonio.read_corpus(args.corpus)
     cfg = corpus.ChunkConfig(
         chunk_probability=args.chunk_p,
         heading_piece_range=tuple(args.heading_range),
         text_piece_range=tuple(args.text_range),
         seed=args.seed,
     )
+    docs = jsonio.read_corpus(args.corpus)
     streams, gold_docs = corpus.chunk_corpus(docs, cfg, joiner)
     jsonio.write_streams(args.segments_out, streams)
     jsonio.write_corpus(args.gold_out, gold_docs)
@@ -240,6 +240,14 @@ def cmd_train(args):
         # a text leaf sits one level under the deepest heading label
         raise ValueError(f"--max-depth must lie in 1..{MAX_DEPTH - 1}, got {args.max_depth}")
     _require_positive("--subsample", args.subsample)
+    config = scoring.TrainConfig(
+        learning_rate=args.lr,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        weight_decay=args.weight_decay,
+        seed=args.seed,
+        class_weighting=args.class_weights,
+    )
     joiner = JOINERS[args.joiner]
     train_pairs = _load_gold_with_segments(args.train, args.train_segments, joiner)
     dev_pairs = _load_gold_with_segments(args.dev, args.dev_segments, joiner)
@@ -254,14 +262,6 @@ def cmd_train(args):
             if problem is not None:
                 raise engine.OracleError(f"{fold} document {doc.doc_id!r}: {problem}")
 
-    config = scoring.TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-        class_weighting=args.class_weights,
-    )
     if args.dump_actions:
         _write_action_dump(args.dump_actions, train_pairs, joiner)
     try:

@@ -6,13 +6,15 @@ sampled with a configurable probability and cut into pieces, short ones
 for headings and long ones for body text. The generator produces catalog
 trees with learnable regularities (hierarchical numbering, sentence-final
 punctuation, occasional un-numbered section titles) as a stand-in for a
-manually annotated corpus.
+manually annotated corpus. Both draw through ``_Draws`` from PCG64's raw
+words, which NEP 19 keeps stable across numpy releases; ``Generator`` isn't.
 """
 from __future__ import annotations
 
 import unicodedata
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,6 +36,52 @@ class TooFewDocuments(Exception):
     """A split was requested over fewer than ten documents."""
 
 
+class _Draws:
+    """``np.random.default_rng(key)``'s ``integers`` and ``random``, bit for
+    bit, from PCG64's raw words (read 64 at a time). A 32-bit draw takes a
+    word's low half, the next one its high half; a double or a 64-bit draw
+    takes a word of its own. A range of 1 draws nothing, one up to 2^32
+    wide draws 32 bits, a wider one 64, through Lemire's bounded multiply
+    with numpy's rejection step. A sized draw gives the stream of as many
+    scalar draws. ``hi`` is at most 2^63, as for numpy's int64.
+    """
+
+    def __init__(self, *key: int) -> None:
+        bits = np.random.PCG64(list(key))
+        words = chain.from_iterable(iter(lambda: bits.random_raw(64).tolist(), None))
+        self._word = words.__next__
+        self._uint32 = (half for word in words for half in (word & 0xFFFFFFFF, word >> 32)).__next__
+
+    def random(self) -> float:
+        return (self._word() >> 11) * 2.0**-53
+
+    def integers(self, lo: int, hi: int | None = None, size: int | None = None):
+        """An int in [lo, hi), or a list of ``size``; ``hi`` alone draws from [0, lo)."""
+        if hi is None:
+            lo, hi = 0, lo
+        if size is None:
+            return lo + self._below(hi - lo)
+        return [lo + self._below(hi - lo) for _ in range(size)]
+
+    def _below(self, n: int) -> int:
+        if n == 1:
+            return 0
+        if n <= 1 << 32:
+            m = self._uint32() * n
+            if m & 0xFFFFFFFF >= n:  # the rejection step cannot apply
+                return m >> 32
+            return self._reject(m, n, 32, self._uint32)
+        return self._reject(self._word() * n, n, 64, self._word)
+
+    @staticmethod
+    def _reject(m: int, n: int, bits: int, draw: Callable[[], int]) -> int:
+        """Draw again while the product's low bits fall below 2^bits mod n."""
+        mask, threshold = (1 << bits) - 1, (1 << bits) % n
+        while m & mask < threshold:
+            m = draw() * n
+        return m >> bits
+
+
 @dataclass
 class ChunkConfig:
     chunk_probability: float = 0.5
@@ -42,6 +90,8 @@ class ChunkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not 0.0 <= self.chunk_probability <= 1.0:
             raise ValueError("chunk probability must lie in [0, 1]")
         for lo, hi in (self.heading_piece_range, self.text_piece_range):
@@ -68,9 +118,7 @@ def _safe_cut(rest: str, target: int, lo: int, hi: int) -> int | None:
     return next((cut for cut in range(hi + 1, len(rest)) if clean(cut)), None)
 
 
-def _split_at_spaces(
-    text: str, lo: int, hi: int, rng: np.random.Generator
-) -> list[str]:
+def _split_at_spaces(text: str, lo: int, hi: int, rng: _Draws) -> list[str]:
     """Cut whitespace-delimited text at single spaces only.
 
     The boundary space is dropped; the joiner restores it, so the pieces
@@ -87,7 +135,7 @@ def _split_at_spaces(
         return rest[j] == " " and not rest[j - 1].isspace() and not rest[j + 1 : j + 2].isspace()
 
     while len(rest) > hi:
-        target = int(rng.integers(lo, hi + 1))
+        target = rng.integers(lo, hi + 1)
         cut = next((j for j in range(target, 0, -1) if single_space(j)), None)
         if cut is None:
             cut = next((j for j in range(target, len(rest)) if single_space(j)), None)
@@ -99,9 +147,7 @@ def _split_at_spaces(
     return pieces
 
 
-def _split_content(
-    text: str, lo: int, hi: int, rng: np.random.Generator, joiner: str
-) -> list[str]:
+def _split_content(text: str, lo: int, hi: int, rng: _Draws, joiner: str) -> list[str]:
     """Cut text into pieces of target length lo..hi; the tail may be
     shorter, and is left whole where no clean cut remains."""
     if joiner == " ":
@@ -109,7 +155,7 @@ def _split_content(
     pieces: list[str] = []
     rest = text
     while len(rest) > hi:
-        target = int(rng.integers(lo, hi + 1))
+        target = rng.integers(lo, hi + 1)
         cut = _safe_cut(rest, target, lo, hi)
         if cut is None:
             break
@@ -135,9 +181,9 @@ def chunk_document(
     Joining the emitted segments back with the joiner reproduces every
     node's content exactly.
     """
-    rng_pick = np.random.default_rng([cfg.seed, doc_index, 0])
-    rng_heading = np.random.default_rng([cfg.seed, doc_index, 1])
-    rng_text = np.random.default_rng([cfg.seed, doc_index, 2])
+    rng_pick = _Draws(cfg.seed, doc_index, 0)
+    rng_heading = _Draws(cfg.seed, doc_index, 1)
+    rng_text = _Draws(cfg.seed, doc_index, 2)
 
     segments: list[Segment] = []
 
@@ -196,6 +242,8 @@ class GenConfig:
     texts_per_heading: tuple[int, int] = (1, 3)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         # depth counts the pseudo root, so nodes sit at levels 1..hi-1
         if not 2 <= self.depth_range[0] <= self.depth_range[1] <= MAX_DEPTH + 1:
             raise ValueError(f"depth range must satisfy 2 <= lo <= hi <= {MAX_DEPTH + 1}")
@@ -208,8 +256,8 @@ class GenConfig:
             ("text length range", self.text_length_range, 1),
             ("texts per heading", self.texts_per_heading, 0),
         ):
-            if not least <= lo <= hi:
-                raise ValueError(f"{name} ({lo}, {hi}) must satisfy {least} <= lo <= hi")
+            if not least <= lo <= hi < 2**63:
+                raise ValueError(f"{name} ({lo}, {hi}) must satisfy {least} <= lo <= hi < 2^63")
 
 
 # The chance that a generated heading is left without children, and the
@@ -244,35 +292,30 @@ def _cjk_number(n: int) -> str:
     return _CJK_DIGITS[tens] + "十" + (_CJK_DIGITS[ones] if ones else "")
 
 
-def _clause(rng: np.random.Generator) -> str:
-    # One sized draw gives the same stream as as many scalar draws.
-    count = int(rng.integers(3, 8))
-    return "".join([_TEXT_WORDS[i] for i in rng.integers(len(_TEXT_WORDS), size=count).tolist()])
+def _clause(rng: _Draws) -> str:
+    count = rng.integers(3, 8)
+    return "".join([_TEXT_WORDS[i] for i in rng.integers(len(_TEXT_WORDS), size=count)])
 
 
-def _sentence(rng: np.random.Generator) -> str:
+def _sentence(rng: _Draws) -> str:
     # Long comma-joined sentences keep sentence boundaries sparse, the
     # way body prose in reports reads.
-    clauses = [_clause(rng) for _ in range(int(rng.integers(2, 5)))]
+    clauses = [_clause(rng) for _ in range(rng.integers(2, 5))]
     ending = "。" if rng.random() < 0.85 else ("！" if rng.random() < 0.5 else "？")
     return "，".join(clauses) + ending
 
 
-def _paragraph(rng: np.random.Generator, lo: int, hi: int) -> str:
-    target = int(rng.integers(lo, hi + 1))
+def _paragraph(rng: _Draws, lo: int, hi: int) -> str:
+    target = rng.integers(lo, hi + 1)
     out = _sentence(rng)
     while len(out) < target:
         out += _sentence(rng)
     return out
 
 
-def _title(rng: np.random.Generator, long_ok: bool) -> str:
-    count = int(rng.integers(4, 9)) if long_ok and rng.random() < 0.25 else int(
-        rng.integers(1, 4)
-    )
-    return "".join(
-        [_HEADING_WORDS[i] for i in rng.integers(len(_HEADING_WORDS), size=count).tolist()]
-    )
+def _title(rng: _Draws, long_ok: bool) -> str:
+    count = rng.integers(4, 9) if long_ok and rng.random() < 0.25 else rng.integers(1, 4)
+    return "".join([_HEADING_WORDS[i] for i in rng.integers(len(_HEADING_WORDS), size=count)])
 
 
 def _heading_prefix(style: str, level: int, path: tuple[int, ...]) -> str:
@@ -298,21 +341,21 @@ def generate_synthetic(cfg: GenConfig) -> list[CatalogTree]:
     the way unnumbered interludes appear in reports. Within any node the
     body text precedes heading children. Body paragraphs are built from
     long comma-joined sentences ending with terminal punctuation, and
-    roughly a quarter of headings are leaves. Fixed seeds reproduce the
-    corpus exactly, one RNG substream per document.
+    roughly a quarter of headings are leaves. Each document draws from its
+    own PCG64 stream, whose raw words NEP 19 keeps stable (see ``_Draws``).
     """
     trees = []
     for doc_index in range(cfg.doc_count):
-        rng = np.random.default_rng([cfg.seed, doc_index])
+        rng = _Draws(cfg.seed, doc_index)
         trees.append(_generate_tree(rng, cfg))
     return trees
 
 
-def _generate_tree(rng: np.random.Generator, cfg: GenConfig) -> CatalogTree:
+def _generate_tree(rng: _Draws, cfg: GenConfig) -> CatalogTree:
     # Depth counts the pseudo root as a level, so nodes may sit at levels
     # 1..depth-1; numbered headings stop one level short of that so their
     # texts fit.
-    depth = int(rng.integers(cfg.depth_range[0], cfg.depth_range[1] + 1))
+    depth = rng.integers(cfg.depth_range[0], cfg.depth_range[1] + 1)
     max_level = depth - 1
     deepest_heading = max(1, max_level - 1)
     style = "cjk" if rng.random() < 0.4 else "arabic"
@@ -321,7 +364,7 @@ def _generate_tree(rng: np.random.Generator, cfg: GenConfig) -> CatalogTree:
 
     def texts(parent: CatalogNode, at_most: int | None = None) -> None:
         lo, hi = cfg.texts_per_heading
-        count = int(rng.integers(lo, hi + 1))
+        count = rng.integers(lo, hi + 1)
         if at_most is not None:
             count = min(count, at_most)
         count = min(count, budget["left"])
@@ -348,7 +391,7 @@ def _generate_tree(rng: np.random.Generator, cfg: GenConfig) -> CatalogTree:
                 texts(node)
 
     def headings(parent: CatalogNode, level: int, path: tuple[int, ...]) -> None:
-        count = int(rng.integers(cfg.children_range[0], cfg.children_range[1] + 1))
+        count = rng.integers(cfg.children_range[0], cfg.children_range[1] + 1)
         for ordinal in range(1, count + 1):
             if budget["left"] <= 0:
                 return

@@ -760,6 +760,8 @@ class TrainConfig:
             raise ValueError("learning rate (finite), epochs and batch size must be positive")
         if not 0 < self.weight_decay < math.inf:
             raise ValueError("weight decay must be finite and positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 _BETA1 = 0.9

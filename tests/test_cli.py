@@ -524,11 +524,20 @@ def test_unusable_trees_without_stream_files(workspace, tmp_path, capsys, caplog
         ("generate", ["--text-len", "0", "2"], "text length range"),
         ("train", ["--method", "pipeline", "--max-depth", "0"], "must lie in"),
         ("train", ["--method", "tagging", "--max-depth", str(MAX_DEPTH)], "must lie in"),
+        # numpy's int64 draws end at 2^63, so a wider range would never be drawn
+        ("generate", ["--children", "0", str(2**63)], "children range"),
+        # a negative seed is refused before any corpus is read
+        ("generate", ["--seed", "-1"], "seed must be non-negative, got -1"),
+        ("chunk", ["--seed", "-1"], "seed must be non-negative, got -1"),
+        ("train", ["--seed", "-1"], "seed must be non-negative, got -1"),
+        ("train", ["--seed", "-1", "--subsample", "2"], "seed must be non-negative, got -1"),
     ],
     ids=["lr-nan", "lr-inf", "decay-nan", "subsample-0", "subsample-neg", "predict-jobs",
          "pipeline-unconstrained", "tagging-unconstrained", "tagging-bridge",
          "transition-max-depth", "children-reversed", "children-neg", "text-len-reversed",
-         "text-len-0", "pipeline-max-depth-0", "tagging-max-depth-past-bound"],
+         "text-len-0", "pipeline-max-depth-0", "tagging-max-depth-past-bound",
+         "children-past-int64", "generate-seed-neg", "chunk-seed-neg", "train-seed-neg",
+         "train-subsample-seed-neg"],
 )
 def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message):
     gold, segs, model = workspace / "gold.jsonl", workspace / "segs.jsonl", workspace / "m.bin"
@@ -539,6 +548,8 @@ def test_option_out_of_range_exits_1(workspace, capsys, command, flags, message)
         "predict": ["--segments", segs, "--scorer", f"linear:{model}",
                     "--out", workspace / "pred.jsonl"],
         "generate": ["--out", workspace / "out.bin"],
+        "chunk": ["--corpus", workspace / "docs.jsonl", "--segments-out", workspace / "out.bin",
+                  "--gold-out", workspace / "pred.jsonl"],
     }[command]
     assert run(command, *rest, *flags) == 1
     err = capsys.readouterr().err.splitlines()

@@ -1,10 +1,14 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catparse.corpus import (
     ChunkConfig,
+    _Draws,
     GenConfig,
     SourceStats,
     TooFewDocuments,
@@ -118,6 +122,8 @@ class TestChunker:
             ChunkConfig(heading_piece_range=(0, 5))
         with pytest.raises(ValueError):
             ChunkConfig(text_piece_range=(9, 3))
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            ChunkConfig(seed=-1)
 
 
 def _iter(tree):
@@ -266,6 +272,15 @@ def test_chunk_corpus_pairs_streams_with_gold():
         assert [s.index for s in stream.segments] == list(range(len(stream.segments)))
 
 
+def corpus_digest(gen: GenConfig, chunk: ChunkConfig, joiner: str = "") -> str:
+    docs = generate_corpus(gen)
+    streams, gold = chunk_corpus(docs, chunk, joiner)
+    digest = hashlib.sha256()
+    for obj in [document_to_obj(d) for d in gold] + [stream_to_obj(s) for s in streams]:
+        digest.update(json.dumps(obj, ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n")
+    return digest.hexdigest()
+
+
 # The generated corpus is part of every benchmark input and of the pilot
 # snapshot, so any change to the generator's draws shows here.
 PINNED_CORPUS_SHA256 = {
@@ -278,9 +293,63 @@ PINNED_CORPUS_SHA256 = {
 
 @pytest.mark.parametrize("seed, joiner", sorted(PINNED_CORPUS_SHA256))
 def test_generated_and_chunked_corpus_is_pinned(seed, joiner):
-    docs = generate_corpus(GenConfig(doc_count=40, seed=seed))
-    streams, gold = chunk_corpus(docs, ChunkConfig(seed=seed), joiner)
-    digest = hashlib.sha256()
-    for obj in [document_to_obj(d) for d in gold] + [stream_to_obj(s) for s in streams]:
-        digest.update(json.dumps(obj, ensure_ascii=False, sort_keys=True).encode("utf-8") + b"\n")
-    assert digest.hexdigest() == PINNED_CORPUS_SHA256[(seed, joiner)]
+    digest = corpus_digest(GenConfig(doc_count=40, seed=seed), ChunkConfig(seed=seed), joiner)
+    assert digest == PINNED_CORPUS_SHA256[(seed, joiner)]
+
+
+# Two more configurations, pinned from numpy's Generator draws: the benchmark's
+# long documents (LONG_DOCS in perfbench/inputs.py: a range of 1 for texts per
+# heading, every node chunked), and a children range wide enough to take the
+# 64-bit bounded draw, whose trees MAX_NODES caps.
+PINNED_CONFIG_SHA256 = {
+    "long-docs": (
+        GenConfig(doc_count=12, depth_range=(3, 3), numbered_fraction=1.0,
+                  texts_per_heading=(1, 1), text_length_range=(1800, 2800), seed=7),
+        ChunkConfig(chunk_probability=1.0, seed=7),
+        "2a8da74cffaac247f8a1b1de7724304a742ad40c18877623528b36bc4c988f73",
+    ),
+    "children-past-2^32": (
+        GenConfig(doc_count=4, children_range=(0, 2**33), seed=8),
+        ChunkConfig(seed=8),
+        "4f0aba52c93fe88cac89b35e5a668daa32b93dfa1593a648b0f46d2acc29af73",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIG_SHA256))
+def test_benchmark_shaped_corpora_are_pinned(name):
+    gen, chunk, expected = PINNED_CONFIG_SHA256[name]
+    assert corpus_digest(gen, chunk) == expected
+
+
+# Widths of the draws checked below: numpy draws nothing for 1, 32 bits
+# up to 2^32 (the raw half-word at exactly 2^32) and 64 bits past it;
+# 2^31 + 1 and 2^62 + 1 reject about every other and every fourth draw.
+DRAW_RANGES = [1, 2, 68, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1, 2**62, 2**62 + 1]
+DRAW_CALLS = st.lists(
+    st.one_of(
+        st.just(("random",)),
+        st.tuples(st.just("scalar"), st.integers(0, 100), st.sampled_from(DRAW_RANGES)),
+        st.tuples(st.just("sized"), st.sampled_from(DRAW_RANGES), st.integers(0, 6)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64), index=st.integers(0, 500), calls=DRAW_CALLS)
+def test_draws_match_numpy_generator(seed, index, calls):
+    """``_Draws(seed, index)`` gives what ``np.random.default_rng([seed, index])``
+    gives, call for call, checked against numpy 2.4.6: ``random()``,
+    ``integers(lo, lo + n)`` and ``integers(n, size=k)``, sizes 0 included,
+    interleaved so that a waiting 32-bit half meets a 64-bit draw."""
+    ours, numpy_rng = _Draws(seed, index), np.random.default_rng([seed, index])
+    for call in calls:
+        if call[0] == "random":
+            assert ours.random() == numpy_rng.random()
+        elif call[0] == "scalar":
+            _, lo, n = call
+            assert ours.integers(lo, lo + n) == numpy_rng.integers(lo, lo + n)
+        else:
+            _, n, k = call
+            assert ours.integers(n, size=k) == numpy_rng.integers(n, size=k).tolist()

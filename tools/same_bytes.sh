@@ -4,12 +4,14 @@
 #   tools/same_bytes.sh REV [SEED...]        (seeds default to 101 102 103)
 #
 # REV is exported with `git archive`. For each seed, each side's src/
-# generates and chunks a train, a dev and a test corpus; trains the three
-# methods for 2 epochs, and transition once more with class weights and
-# --lr 0.02, as the benchmark's longdoc inputs are trained; predicts the
-# test fold with each model (transition also with --unconstrained and with
-# --jobs 2); and evaluates the predictions of the three methods and of the
-# class-weighted transition model. Each side's --jobs 2 predictions are
+# generates and chunks a train, a dev and a test corpus, and a corpus of
+# long documents (depth 3, texts of 1800-2800 characters, every node
+# chunked), and chunks the train corpus once more with the space joiner;
+# trains the three methods for 2 epochs, and transition once more with
+# class weights and --lr 0.02, as the benchmark's longdoc inputs are
+# trained; predicts the test fold with each model (transition also with
+# --unconstrained and with --jobs 2); and evaluates the predictions of the
+# three methods and of the class-weighted transition model. Each side's --jobs 2 predictions are
 # compared with `cmp` against its own --jobs 1 ones, so
 # `tools/same_bytes.sh HEAD` checks that much of a change that alters
 # outputs on purpose. A table of each method's test-fold overall F1, REV's
@@ -54,6 +56,12 @@ run_side() {  # run_side SRC OUT SEED
         catparse chunk --corpus "$out/docs_$fold.jsonl" --segments-out "$out/segs_$fold.jsonl" \
             --gold-out "$out/gold_$fold.jsonl" --seed "$seed"
     done
+    catparse generate --out "$out/docs_long.jsonl" --count 6 --source long --seed "$seed" \
+        --depth 3 3 --text-len 1800 2800
+    catparse chunk --corpus "$out/docs_long.jsonl" --segments-out "$out/segs_long.jsonl" \
+        --gold-out "$out/gold_long.jsonl" --chunk-p 1.0 --seed "$seed"
+    catparse chunk --corpus "$out/docs_train.jsonl" --joiner space --seed "$seed" \
+        --segments-out "$out/segs_train_space.jsonl" --gold-out "$out/gold_train_space.jsonl"
     for method in transition pipeline tagging; do
         catparse train --method "$method" --epochs 2 --seed "$seed" \
             --train "$out/gold_train.jsonl" --train-segments "$out/segs_train.jsonl" \
