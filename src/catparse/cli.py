@@ -6,23 +6,40 @@ stats. They read and write the JSON-lines formats described in
 ``(inputs, outputs)``, ``train`` also its ``extra`` record; ``main``
 times the command and writes its manifest next to the first output, so
 a run that wrote no file gets none. A gold document is usable when its
-gold actions rebuild it from its stream, ``_check_one``. Exit codes:
-0 success, 1 I/O, scorer bridge, model file, option or check failure
-(``oracle-check``), 2 schema violation (a stream that does not match
-its gold tree, too deep a tree), a training or dev document that fails
-``_check_one`` (named with its fold, whatever the method), or an empty
-dev or gold corpus, 3 training failure.
+gold actions rebuild it from its stream, ``_check_one``.
+
+``predict`` cuts the documents into one contiguous share per worker
+(``--jobs``, by default the CPUs the process may run on), balanced by
+segment count. The parent forks a worker for every share but the first
+before it opens a scorer, so the workers inherit the heads and no
+other share's bridge pipes. It parses the first share itself, writing
+its lines to a temporary file beside ``--out``; each worker sends back
+its share's JSON lines, which the parent copies in input order before
+it renames the file. The first failure in any share stops the others
+and is raised in the parent (POSIX only, as the bridge is).
+
+Exit codes: 0 success, 1 I/O, scorer bridge, model file, option or
+check failure (``oracle-check``), or a ``predict`` worker that died, 2
+schema violation (a stream that does not match its gold tree, too deep
+a tree), a training or dev document that fails ``_check_one`` (named
+with its fold, whatever the method), or an empty dev or gold corpus, 3
+training failure.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import functools
+import io
 import logging
+import os
+import pickle
+import select
+import shutil
+import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, closing, contextmanager
 
 from . import baselines, corpus, engine, jsonio, methods, metrics, scoring
 from .bridge import BridgeIO, BridgeProtocol, ScorerBridge
@@ -122,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--method", choices=methods.METHODS, default="transition")
     p.add_argument("--unconstrained", action="store_true")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p.add_argument(
+        "--jobs", type=int, help="parallel workers (default: the CPUs this process may use)"
+    )
     _add_joiner(p)
     p.set_defaults(func=cmd_predict)
 
@@ -317,23 +336,197 @@ def _parse_scorer_spec(spec: str) -> tuple[str, str]:
     return kind, rest
 
 
-def _parse_share(heads, command, method, constrained, joiner, streams) -> list:
-    """Parse a share of the documents and return their trees in order.
+def _parse_share(heads, command, method, constrained, joiner, streams):
+    """Parse a share of the documents and yield their trees in order.
 
     With no ``heads`` the share scores through a bridge child of its own,
-    started on ``command`` and closed, killed if it lingers, when the share
-    ends or fails.
+    started on ``command`` at the first tree and closed, killed if it
+    lingers, when the share ends, fails or is closed.
     """
     with ExitStack() as resources:
         if not heads:
             heads = (resources.enter_context(ScorerBridge(command)),)
         parse = methods.parser_for(method, heads, constrained, joiner)
-        return [parse(stream.segments) for stream in streams]
+        for stream in streams:
+            yield parse(stream.segments)
+
+
+class WorkerDied(Exception):
+    """A ``predict`` worker ended without sending its share."""
+
+
+class _Stopped(BaseException):
+    """Raised in a worker the parent stops, so its share closes its bridge
+    child on the way out."""
+
+
+def _raise_stopped(signum, frame):
+    """A worker's SIGTERM handler: unwind the share, unless it is already
+    closing its bridge child (its ``ExitStack`` exiting), which a raise
+    could cut short and leave running."""
+    while frame is not None:
+        if frame.f_code is ExitStack.__exit__.__code__:
+            return
+        frame = frame.f_back
+    raise _Stopped
+
+
+# A worker's message: one tag byte, then its share's JSON lines or its
+# pickled exception, up to end-of-file.
+_DONE, _FAILED = b"D", b"F"
+_BLOCK = 1 << 16
+
+
+@dataclasses.dataclass
+class _Worker:
+    pid: int | None
+    fd: int | None
+    reported: bool = False
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without the call
+        return os.cpu_count() or 1
+
+
+def _shares(streams: list, jobs: int) -> list[list]:
+    """Cut ``streams`` into ``jobs`` contiguous shares balanced by segment
+    count: share k ends at the first document where the running total
+    reaches k/jobs of the whole, holding at least one document and
+    leaving one for each later share."""
+    sizes = [len(stream.segments) for stream in streams]
+    total, running, ends = sum(sizes), 0, [0]
+    for i, size in enumerate(sizes[:-1]):
+        running += size
+        k = len(ends)
+        if k < jobs and (running * jobs >= k * total or len(sizes) - i - 1 == jobs - k):
+            ends.append(i + 1)
+    ends.append(len(streams))
+    return [streams[a:b] for a, b in zip(ends, ends[1:])]
+
+
+def _write_share(handle, parse, share, workers) -> None:
+    """Parse ``share`` and write its documents' lines to ``handle``,
+    polling ``workers`` after each document."""
+    with closing(parse(share)) as trees:
+        for stream, tree in zip(share, trees):
+            doc = jsonio.Document(doc_id=stream.doc_id, source="", tree=tree)
+            jsonio.write_lines(handle, [jsonio.document_to_obj(doc)])
+            _poll(workers, 0)
+
+
+def _work(parse, share, write_fd: int) -> None:
+    """Run in a forked worker: parse ``share`` and send the parent its
+    JSON lines, or the exception that ended it, then exit through
+    ``os._exit``: a worker never returns into its caller, flushes no
+    inherited buffer and prints nothing."""
+    signal.signal(signal.SIGTERM, _raise_stopped)
+    try:
+        text = io.StringIO()
+        _write_share(text, parse, share, ())
+        message, code = _DONE + text.getvalue().encode("utf-8"), 0
+    except BaseException as exc:  # noqa: BLE001 - sent to the parent, which raises it
+        message, code = _FAILED + pickle.dumps(exc), 1
+    with open(write_fd, "wb") as pipe:
+        pipe.write(message)
+    os._exit(code)
+
+
+def _fork(parse, share, workers: list[_Worker]) -> _Worker:
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            for worker in workers:
+                os.close(worker.fd)
+            _work(parse, share, write_fd)
+        finally:  # an exception _work could not send, the parent's SIGTERM included
+            os._exit(1)
+    os.close(write_fd)
+    return _Worker(pid, read_fd)
+
+
+def _reap(worker: _Worker) -> str | None:
+    """Wait for ``worker``; None when it exited 0, else how it ended."""
+    pid, worker.pid = worker.pid, None
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code < 0:
+        return f"worker {pid} was killed by signal {signal.Signals(-code).name}"
+    return f"worker {pid} exited with code {code} without sending its share" if code else None
+
+
+def _poll(workers, timeout: float | None) -> None:
+    """Wait up to ``timeout`` seconds (None: until one reports) for the
+    workers that have not reported; mark those done, raise the first
+    failure."""
+    waiting = {worker.fd: worker for worker in workers if not worker.reported}
+    if not waiting:
+        return
+    ready, _, _ = select.select(list(waiting), [], [], timeout)
+    for fd in ready:
+        worker = waiting[fd]
+        tag = os.read(fd, 1)
+        if tag == _DONE:
+            worker.reported = True
+        elif tag == _FAILED:
+            with open(fd, "rb", closefd=False) as pipe:
+                raise pickle.loads(pipe.read())
+        else:
+            raise WorkerDied(_reap(worker) or "a worker closed its pipe without sending its share")
+
+
+def _copy(worker: _Worker, out) -> None:
+    """Copy a done worker's lines into the binary ``out`` in blocks."""
+    with open(worker.fd, "rb") as pipe:
+        shutil.copyfileobj(pipe, out, _BLOCK)
+    worker.fd = None
+    problem = _reap(worker)
+    if problem:
+        raise WorkerDied(problem)
+
+
+def _stop(workers: list[_Worker]) -> None:
+    """Stop the workers still running, close their pipes and reap them;
+    each closes its share's bridge child as it unwinds."""
+    for worker in workers:
+        if worker.pid is not None:
+            os.kill(worker.pid, signal.SIGTERM)
+    for worker in workers:
+        if worker.fd is not None:
+            os.close(worker.fd)
+        if worker.pid is not None:
+            _reap(worker)
+
+
+@contextmanager
+def _replacing(path: str):
+    """A text file that takes ``path``'s place when the block succeeds
+    and is removed when it fails, so a failed run leaves no output."""
+    partial = f"{path}.{os.getpid()}.tmp"
+    handle = open(partial, "x", encoding="utf-8")
+    try:
+        with handle:
+            yield handle
+        os.replace(partial, path)
+    except BaseException:
+        os.unlink(partial)
+        raise
 
 
 def cmd_predict(args):
+    if args.jobs is None:
+        args.jobs = _cpus()
     _require_positive("--jobs", args.jobs)
-    # options are checked before any --jobs worker starts
+    # options are checked before any worker starts
     kind, rest = _parse_scorer_spec(args.scorer)
     if args.method != "transition" and kind == "bridge":
         raise ValueError(f"method {args.method} requires a linear: scorer")
@@ -343,23 +536,27 @@ def cmd_predict(args):
     streams = jsonio.read_streams(args.segments, joiner)
     # model files too are read and checked before any worker starts
     heads = methods.load_heads(rest, args.method) if kind == "linear" else ()
-    share = functools.partial(
+    parse = functools.partial(
         _parse_share, heads, rest, args.method, not args.unconstrained, joiner
     )
-    # documents are dealt in turn into one share per worker
-    jobs = min(args.jobs, len(streams))
-    if jobs <= 1:
-        trees = share(streams)
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            shares = list(pool.map(share, [streams[i::jobs] for i in range(jobs)]))
-        trees = [shares[i % jobs][i // jobs] for i in range(len(streams))]
-    docs = [
-        jsonio.Document(doc_id=stream.doc_id, source="", tree=tree)
-        for stream, tree in zip(streams, trees)
-    ]
-    jsonio.write_corpus(args.out, docs)
-    log.info("predicted %d documents -> %s", len(docs), args.out)
+    own, *others = _shares(streams, max(1, min(args.jobs, len(streams))))
+    with _replacing(args.out) as handle:
+        workers: list[_Worker] = []
+        try:
+            # every worker forks before the parent opens a scorer, so none
+            # inherits another share's bridge pipes
+            for share in others:
+                workers.append(_fork(parse, share, workers))
+            _write_share(handle, parse, own, workers)
+            handle.flush()
+            for worker in workers:
+                while not worker.reported:
+                    _poll(workers, None)
+                _copy(worker, handle.buffer)
+        except BaseException:
+            _stop(workers)
+            raise
+    log.info("predicted %d documents -> %s", len(streams), args.out)
     return [args.segments], [args.out]
 
 
@@ -418,12 +615,15 @@ def cmd_stats(args):
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     started = time.time()
     try:
         inputs, outputs, *extra = args.func(args)
         if outputs:
-            write_manifest(args.command, _config_snapshot(args), inputs, outputs, started, *extra)
+            write_manifest(
+                args.command, _config_snapshot(args), inputs, outputs, started, argv, *extra
+            )
         return 0
     except RoundTripFailure as exc:
         print(f"round-trip failed for {exc}", file=sys.stderr)
@@ -442,6 +642,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (BridgeIO, BridgeProtocol) as exc:
         print(f"scorer bridge failed: {exc}", file=sys.stderr)
+        return 1
+    except WorkerDied as exc:
+        print(f"predict failed: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:
         print(f"file not found: {exc.filename or exc}", file=sys.stderr)

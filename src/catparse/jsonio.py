@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, TextIO
 
 from .tree import MAX_DEPTH, CatalogNode, CatalogTree, NodeKind, Segment
 
@@ -206,11 +206,15 @@ def read_corpus(path: str | Path) -> list[Document]:
     return [document_from_obj(obj, f"{path}:{n}") for n, obj in _read_jsonl(path)]
 
 
+def write_lines(handle: TextIO, objs: Iterable[Any]) -> None:
+    """Write ``objs`` to a text handle, one compact JSON value per line."""
+    for obj in objs:
+        handle.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+
+
 def _write_jsonl(path: str | Path, objs: Iterable[Any]) -> None:
-    """Write ``objs`` one compact JSON value per line."""
     with open(path, "w", encoding="utf-8") as handle:
-        for obj in objs:
-            handle.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+        write_lines(handle, objs)
 
 
 def write_corpus(path: str | Path, docs: Iterable[Document]) -> None:

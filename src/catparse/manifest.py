@@ -3,7 +3,6 @@ that ``cli.main`` writes for every command that wrote a file."""
 from __future__ import annotations
 
 import platform
-import sys
 import time
 from typing import Any
 
@@ -19,10 +18,11 @@ def write_manifest(
     inputs: list[str],
     outputs: list[str],
     started: float,
+    argv: list[str],
     extra: dict[str, Any] | None = None,
 ) -> None:
     """Record what a run did next to its first output: command, config
-    snapshot, paths, timing.
+    snapshot, paths, timing and the ``argv`` the command was given.
 
     Timing fields vary between runs; everything else is reproducible for
     a fixed seed.
@@ -39,7 +39,7 @@ def write_manifest(
             "python": platform.python_version(),
             "numpy": numpy.__version__,
         },
-        "argv": sys.argv[1:],
+        "argv": argv,
     }
     if extra:
         record["extra"] = extra

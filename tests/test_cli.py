@@ -5,6 +5,7 @@ import os
 import signal
 import struct
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ def test_baseline_methods_train_and_predict(workspace):
                 "--scorer", f"linear:{model}", "--out", out, "--jobs", jobs,
             ) == 0
         assert len(read_corpus(pred)) == 12
-        # the heads are pickled into the workers
+        # forked workers parse with the heads the parent read
         assert pred.read_bytes() == parallel.read_bytes()
 
 
@@ -268,8 +269,7 @@ def test_bridge_failure_exits_1(workspace, capsys, program):
 
 def test_bridge_that_cannot_start_with_jobs_exits_1(workspace, capsys):
     """Each share of the documents starts its own bridge child in its
-    worker, so the failure comes back as that share's error, not as a
-    broken pool."""
+    worker, so the failure comes back as that share's error."""
     pred = workspace / "bridge-pred.jsonl"
     assert run(
         "predict", "--segments", workspace / "segs.jsonl", "--scorer", "bridge:/nonexistent/cmd",
@@ -378,25 +378,22 @@ def test_bridge_predictions_do_not_depend_on_jobs(workspace):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def record_parsing_pids(monkeypatch, directory):
+    """Wrap ``cli._parse_share`` to leave a file named by the pid of each
+    process that parses a share; forked workers inherit the wrapper."""
+    directory.mkdir()
+    real = cli._parse_share
+
+    def recording(*args):
+        (directory / str(os.getpid())).touch()
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_parse_share", recording)
+    return lambda: sorted(int(path.name) for path in directory.iterdir())
+
+
 def test_jobs_past_the_document_count_ask_for_one_worker_per_document(workspace, monkeypatch):
-    asked = []
-
-    class InlinePool:
-        """Records the workers asked for and maps in-process: no process starts."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            return None
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    pids = record_parsing_pids(monkeypatch, workspace / "pids")
     model = workspace / "m.bin"
     save_model(LinearModel.create(dim=128), model)
     single, dealt = workspace / "single.jsonl", workspace / "dealt.jsonl"
@@ -405,8 +402,158 @@ def test_jobs_past_the_document_count_ask_for_one_worker_per_document(workspace,
             "predict", "--segments", workspace / "segs.jsonl", "--scorer", f"linear:{model}",
             "--out", out, "--jobs", jobs,
         ) == 0
-    assert asked == [len(read_streams(workspace / "segs.jsonl"))]
+    # --jobs 1 parses in the parent, --jobs 1000 in one process per document
+    assert os.getpid() in pids()
+    assert len(pids()) == len(read_streams(workspace / "segs.jsonl")) == 12
     assert single.read_bytes() == dealt.read_bytes()
+
+
+def test_default_jobs_is_the_affinity_count(workspace, monkeypatch):
+    model, out = workspace / "m.bin", workspace / "pred.jsonl"
+    save_model(LinearModel.create(dim=128), model)
+    argv = ("predict", "--segments", workspace / "segs.jsonl", "--scorer", f"linear:{model}",
+            "--out", out)
+    assert run(*argv) == 0
+    manifest = workspace / "pred.jsonl.manifest.json"
+    jobs = json.loads(manifest.read_text())["config"]["jobs"]
+    assert jobs == len(os.sched_getaffinity(0))
+
+    pids = record_parsing_pids(monkeypatch, workspace / "pids")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert run(*argv) == 0
+    assert pids() == [os.getpid()]
+    assert json.loads(manifest.read_text())["config"]["jobs"] == 1
+
+
+def test_every_method_writes_the_same_bytes_whatever_jobs(workspace):
+    """Contiguous shares balanced by segment count come back in input
+    order, for documents whose sizes differ by far more than 10x."""
+    streams = [json.loads(line) for line in (workspace / "segs.jsonl").read_text().splitlines()]
+    pooled = [text for stream in streams for text in stream["segments"]]
+    mixed = [
+        {"id": "tiny-0", "segments": pooled[:1]},
+        *streams[:5],
+        {"id": "large", "segments": pooled},
+        {"id": "tiny-1", "segments": pooled[1:3]},
+        *streams[5:],
+        {"id": "tiny-2", "segments": pooled[3:4]},
+    ]
+    sizes = [len(stream["segments"]) for stream in mixed]
+    assert max(sizes) >= 10 * min(sizes) and max(sizes) >= 100
+    segs = workspace / "mixed.jsonl"
+    segs.write_text("".join(json.dumps(stream) + "\n" for stream in mixed))
+    scorer_py = workspace / "text_scorer.py"
+    scorer_py.write_text(
+        "import json, sys\n"
+        "for line in sys.stdin:\n"
+        "    req = json.loads(line)\n"
+        "    s, q = len(req['s']), len(req['q'])\n"
+        "    logits = [s % 7 / 3, q % 5 / 2, (s + q) % 3, (s * q) % 4 / 2]\n"
+        "    print(json.dumps({'id': req['id'], 'logits': logits}), flush=True)\n"
+    )
+    runs = {"bridge": ["--scorer", f"bridge:{sys.executable} -u {scorer_py}"]}
+    for method in ("transition", "pipeline", "tagging"):
+        model = workspace / f"{method}.bin"
+        assert run(
+            "train", "--method", method, "--train", workspace / "gold.jsonl",
+            "--train-segments", workspace / "segs.jsonl", "--dev", workspace / "gold.jsonl",
+            "--dev-segments", workspace / "segs.jsonl", "--model-out", model, *FAST_TRAIN,
+        ) == 0
+        runs[method] = ["--method", method, "--scorer", f"linear:{model}"]
+    runs["unconstrained"] = [*runs["transition"], "--unconstrained"]
+    for name, flags in runs.items():
+        outputs = []
+        for jobs in (["--jobs", "1"], ["--jobs", "2"], ["--jobs", "3"], []):
+            out = workspace / f"pred-{name}.jsonl"
+            assert run("predict", "--segments", segs, "--out", out, *flags, *jobs) == 0
+            outputs.append(out.read_bytes())
+        assert len(outputs[0].splitlines()) == len(mixed)
+        assert outputs[1:] == outputs[:1] * 3, name
+
+
+SLOW_SCORER = (
+    "import json, os, sys, time\n"
+    "open(os.path.join({pids!r}, str(os.getpid())), 'w').close()\n"
+    "try:\n"
+    "    for line in sys.stdin:\n"
+    "        req = json.loads(line)\n"
+    "        time.sleep(0.005)\n"
+    "        if req['q'] == 'MARKER':\n"
+    "            print('not json', flush=True)\n"
+    "        else:\n"
+    "            print(json.dumps({{'id': req['id'], 'logits': [0.0, 1.0, 0.0, 0.0]}}), flush=True)\n"
+    "except BrokenPipeError:\n"
+    "    pass\n"
+)
+
+
+def assert_gone(pids) -> None:
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+# With 3 workers over 200 two-segment documents, the parent's share is
+# documents 0-66 and the last worker's share starts at document 134.
+@pytest.mark.parametrize("marked", [0, 134], ids=["parent-share", "last-worker-share"])
+def test_the_first_failure_stops_the_run(tmp_path, capsys, monkeypatch, marked):
+    """A failing document ends the run about when it ends under --jobs 1:
+    the other shares are stopped instead of finishing."""
+    bridges = tmp_path / "bridges"
+    bridges.mkdir()
+    scorer_py = tmp_path / "slow_scorer.py"
+    scorer_py.write_text(SLOW_SCORER.format(pids=str(bridges)))
+    segs = tmp_path / "segs.jsonl"
+    segs.write_text("".join(
+        json.dumps({"id": f"d{i}", "segments": ["1. Scope", "MARKER" if i == marked else "Body."]})
+        + "\n"
+        for i in range(200)
+    ))
+    workers = record_parsing_pids(monkeypatch, tmp_path / "workers")
+    pred = tmp_path / "pred.jsonl"
+    elapsed = {}
+    try:
+        for jobs in ("1", "3"):
+            started = time.perf_counter()
+            assert run(
+                "predict", "--segments", segs, "--scorer", f"bridge:{sys.executable} -u {scorer_py}",
+                "--out", pred, "--jobs", jobs,
+            ) == 1
+            elapsed[jobs] = time.perf_counter() - started
+            err = capsys.readouterr().err
+            assert len(err.splitlines()) == 1 and "scorer bridge failed" in err, err
+            assert "Traceback" not in err
+            assert list(tmp_path.glob("pred.jsonl*")) == []
+        assert elapsed["3"] <= elapsed["1"] + 0.3, elapsed
+        assert len(workers()) == 3
+        assert_gone([pid for pid in workers() if pid != os.getpid()])
+        assert_gone(int(path.name) for path in bridges.iterdir())
+    finally:
+        for path in bridges.iterdir():
+            try:
+                os.kill(int(path.name), signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+
+
+def test_a_worker_killed_by_a_signal_ends_the_run(workspace, capsys, monkeypatch):
+    parent, real = os.getpid(), cli._parse_share
+
+    def killed_in_workers(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "_parse_share", killed_in_workers)
+    model, pred = workspace / "m.bin", workspace / "pred.jsonl"
+    save_model(LinearModel.create(dim=128), model)
+    assert run(
+        "predict", "--segments", workspace / "segs.jsonl", "--scorer", f"linear:{model}",
+        "--out", pred, "--jobs", "3",
+    ) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "SIGKILL" in err and "Traceback" not in err
+    assert list(workspace.glob("pred.jsonl*")) == []
 
 
 @pytest.mark.parametrize("method", ["transition", "pipeline", "tagging"])
@@ -635,6 +782,8 @@ def test_manifest_sits_next_to_the_first_output(workspace):
         assert manifest["command"] == command
         assert manifest["inputs"] == [str(p) for p in inputs]
         assert manifest["outputs"] == [str(p) for p in outputs]
+        # the argv given to main, not the host process's
+        assert manifest["argv"] == [command, *map(str, argv)]
 
     # commands that write no file write no manifest
     before = sorted(workspace.glob("*.manifest.json"))
@@ -932,8 +1081,8 @@ def test_invalid_model_file_exits_1(workspace, capsys, method, content, message)
     ids=["missing", "wrong-magic", "wrong-method"],
 )
 def test_bad_model_file_with_jobs_exits_1(workspace, capsys, content, message):
-    """The parent reads the model file before the worker pool starts, so a
-    bad one ends in one line, as with --jobs 1, not a broken pool."""
+    """The parent reads the model file before any worker starts, so a bad
+    one ends in one line, as with --jobs 1."""
     model, pred = workspace / "bad.bin", workspace / "pred.jsonl"
     if content is not None:
         model.write_bytes(content)

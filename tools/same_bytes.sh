@@ -9,14 +9,16 @@
 # chunked), and chunks the train corpus once more with the space joiner;
 # trains the three methods for 2 epochs, and transition once more with
 # class weights and --lr 0.02, as the benchmark's longdoc inputs are
-# trained; predicts the test fold with each model (transition also with
-# --unconstrained and with --jobs 2); and evaluates the predictions of the
-# three methods and of the class-weighted transition model. Each side's --jobs 2 predictions are
-# compared with `cmp` against its own --jobs 1 ones, so
-# `tools/same_bytes.sh HEAD` checks that much of a change that alters
-# outputs on purpose. A table of each method's test-fold overall F1, REV's
-# next to the working tree's, is printed per seed; a change that alters
-# outputs on purpose reports its F1 with it. Every output but the
+# trained; predicts the test fold with each model under --jobs 1
+# (transition also with --unconstrained), and once more with the default
+# --jobs and with --jobs 3; and evaluates the --jobs 1 predictions of the
+# three methods and of the class-weighted transition model. Each side's
+# default and --jobs 3 predictions are compared with `cmp` against its own
+# --jobs 1 ones, so `tools/same_bytes.sh HEAD` checks that much of a change
+# that alters outputs on purpose, and the cross-side comparison below pits
+# the working tree's default against REV's. A table of each method's
+# test-fold overall F1, REV's next to the working tree's, is printed per
+# seed; a change that alters outputs on purpose reports its F1 with it. Every output but the
 # manifests is then compared with its twin from REV with `cmp`, and each
 # train manifest's "extra" record (dev F1 per epoch, best epoch) with its
 # twin. Exits 0 when all agree, 1 naming the first difference, 2 when a
@@ -67,24 +69,28 @@ run_side() {  # run_side SRC OUT SEED
             --train "$out/gold_train.jsonl" --train-segments "$out/segs_train.jsonl" \
             --dev "$out/gold_dev.jsonl" --dev-segments "$out/segs_dev.jsonl" \
             --model-out "$out/model_$method.bin"
-        catparse predict --method "$method" --segments "$out/segs_test.jsonl" \
+        catparse predict --method "$method" --segments "$out/segs_test.jsonl" --jobs 1 \
             --scorer "linear:$out/model_$method.bin" --out "$out/pred_$method.jsonl"
         catparse evaluate --gold "$out/gold_test.jsonl" --pred "$out/pred_$method.jsonl" \
             --out "$out/report_$method.json"
+        for jobs in default 3; do
+            catparse predict --method "$method" --segments "$out/segs_test.jsonl" \
+                --scorer "linear:$out/model_$method.bin" --out "$out/pred_${method}_$jobs.jsonl" \
+                $([ "$jobs" = default ] || echo --jobs "$jobs")
+            if ! cmp -s "$out/pred_${method}_$jobs.jsonl" "$out/pred_$method.jsonl"; then
+                echo "same_bytes: $method under --jobs $jobs predicts other bytes than" \
+                    "--jobs 1 under $src at seed $seed" >&2
+                exit 1
+            fi
+        done
     done
-    catparse predict --unconstrained --segments "$out/segs_test.jsonl" \
+    catparse predict --unconstrained --segments "$out/segs_test.jsonl" --jobs 1 \
         --scorer "linear:$out/model_transition.bin" --out "$out/pred_unconstrained.jsonl"
-    catparse predict --jobs 2 --segments "$out/segs_test.jsonl" \
-        --scorer "linear:$out/model_transition.bin" --out "$out/pred_jobs2.jsonl"
-    if ! cmp -s "$out/pred_jobs2.jsonl" "$out/pred_transition.jsonl"; then
-        echo "same_bytes: --jobs 2 predicts other bytes than --jobs 1 under $src at seed $seed" >&2
-        exit 1
-    fi
     catparse train --method transition --epochs 2 --seed "$seed" --class-weights --lr 0.02 \
         --train "$out/gold_train.jsonl" --train-segments "$out/segs_train.jsonl" \
         --dev "$out/gold_dev.jsonl" --dev-segments "$out/segs_dev.jsonl" \
         --model-out "$out/model_weighted.bin"
-    catparse predict --segments "$out/segs_test.jsonl" \
+    catparse predict --segments "$out/segs_test.jsonl" --jobs 1 \
         --scorer "linear:$out/model_weighted.bin" --out "$out/pred_weighted.jsonl"
     catparse evaluate --gold "$out/gold_test.jsonl" --pred "$out/pred_weighted.jsonl" \
         --out "$out/report_weighted.json"
